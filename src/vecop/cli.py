@@ -7,14 +7,17 @@ Exit codes: 0 ok, 1 usage, 2 validation error, 3 infeasible, 4 limits.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
 from . import delaymodel, harness, linkmodel, lp_io, solver
 from .formulation import formulate, make_weights, model_census
-from .harness import scenario_hash
 from .scenario import (
     ObjectivePreset,
     ProcessingSetting,
@@ -59,18 +62,6 @@ def _load_scenario(path: str, setting: Optional[str] = None) -> Scenario:
     return scenario
 
 
-def _provenance(scenario: Scenario, limits: Limits) -> dict:
-    return {
-        "scenario_hash": scenario_hash(scenario),
-        "mips_per_kbps": scenario.settings.mips_per_kbps,
-        "rho_max": scenario.settings.rho_max,
-        "bins": scenario.settings.bins,
-        "packet_size_bytes": scenario.settings.packet_size,
-        "limits_max_nodes": limits.max_nodes,
-        "limits_max_hops": limits.max_hops,
-    }
-
-
 def _parse_objective(spec: str):
     """power | joint | custom:wp,wd -> preset tag understood by _resolve_weights."""
     if spec == "power":
@@ -86,21 +77,15 @@ def _parse_objective(spec: str):
 
 
 def _resolve_weights(preset, custom, scenario, linkset, tables, limits):
+    """(weights, power-only result, solved for the joint preset only); the
+    weights are None when that result, and so the instance, is infeasible."""
     if preset == ObjectivePreset.POWER_ONLY:
-        return make_weights(preset)
+        return make_weights(preset), None
     if preset == ObjectivePreset.CUSTOM:
-        return make_weights(preset, custom=custom)
-    power_pre = solver.solve(scenario, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY), limits)
-    if power_pre.status != "optimal":
-        return None  # infeasible under any weights
-    delay_pre = solver.solve(
-        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)), limits
-    )
-    t_star = delay_pre.max_delay if delay_pre.status == "optimal" else 0.0
-    if t_star <= 0.0:
-        w = make_weights(ObjectivePreset.POWER_ONLY)
-        return dataclasses.replace(w, preset=ObjectivePreset.JOINT_EQUAL)
-    return make_weights(preset, pre_solves=(power_pre.total_power, t_star))
+        return make_weights(preset, custom=custom), None
+    power_only = make_weights(ObjectivePreset.POWER_ONLY)
+    power = solver.solve(scenario, linkset, tables, power_only, limits)
+    return solver.joint_weights(scenario, linkset, tables, power, limits), power
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +147,8 @@ def _cmd_export(args) -> int:
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
     preset, custom = _parse_objective(args.objective)
-    limits = Limits(max_hops=args.max_hops, force=args.force)
-    weights = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
+    limits = Limits(force=args.force)
+    weights, _ = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
     if weights is None:
         print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -178,7 +163,7 @@ def _cmd_export(args) -> int:
 
 def _result_document(scenario, result, limits) -> str:
     doc = {
-        "provenance": _provenance(scenario, limits),
+        "provenance": harness.provenance(scenario, limits),
         "status": result.status,
         "weights": {
             "preset": result.weights.preset.value,
@@ -220,12 +205,13 @@ def _cmd_solve(args) -> int:
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
     preset, custom = _parse_objective(args.objective)
-    limits = Limits(max_hops=args.max_hops, force=args.force)
-    weights = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
+    limits = Limits(force=args.force)
+    weights, power = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
     if weights is None:
-        result = solver.solve(
-            scenario, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY), limits
-        )
+        result = power
+    elif power is not None and weights.w_delay == 0.0:
+        # At T* = 0 the joint objective is the power-only one.
+        result = dataclasses.replace(power, weights=weights)
     else:
         result = solver.solve(scenario, linkset, tables, weights, limits)
     _write(_result_document(scenario, result, limits), args.output)
@@ -244,7 +230,7 @@ def _sweep_args(args, scenario):
         if args.objectives
         else harness.DEFAULT_PRESETS
     )
-    limits = Limits(max_hops=args.max_hops, force=args.force)
+    limits = Limits(force=args.force)
     return harness.sweep(
         scenario, demands, settings, objectives, limits=limits, threads=args.threads
     )
@@ -253,22 +239,13 @@ def _sweep_args(args, scenario):
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
     table = _sweep_args(args, scenario)
-    wrote = False
-    if args.csv is not None:
+    if args.csv is not None or (args.plotdata is None and args.json is None):
         _write(harness.table_to_csv(table), args.csv)
-        wrote = True
     if args.plotdata is not None:
         _write(harness.table_to_plotdata(table), args.plotdata)
-        wrote = True
     if args.json is not None:
-        doc = {
-            "metadata": table.metadata,
-            "rows": [dataclasses.asdict(r) for r in table.rows],
-        }
+        doc = {"metadata": table.metadata, "rows": [dataclasses.asdict(r) for r in table.rows]}
         _write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n", args.json)
-        wrote = True
-    if not wrote:
-        _write(harness.table_to_csv(table), None)
     return EXIT_OK
 
 
@@ -297,7 +274,6 @@ def _add_setting(p):
 
 
 def _add_limits(p):
-    p.add_argument("--max-hops", type=int, default=Limits().max_hops, help="route length cap (links)")
     p.add_argument("--force", action="store_true", help="override instance size limits")
 
 
@@ -382,8 +358,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    # HiGHS prints some diagnostics from C straight to file descriptor 1:
+    # point it at stderr while the command runs, then write its output.
+    out = io.StringIO()
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            return args.func(args)
     except InstanceTooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMITS
@@ -393,6 +376,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+        sys.stdout.write(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -108,14 +108,6 @@ def lookup(table: DelayTable, lam: float) -> float:
     return table.delays[k]
 
 
-def bin_index(table: DelayTable, lam: float) -> int:
-    """Round-up bin index (0-based) used for `lam`; mirrors lookup()."""
-    if lam < 0 or lam > table.arrival_bounds[-1]:
-        raise UnstableQueueError(f"link {table.link_id}: arrival rate {lam} out of range")
-    k = bisect.bisect_left(table.arrival_bounds, lam)
-    return min(k, len(table.arrival_bounds) - 1)
-
-
 def path_delay(
     links: list[Link], tables: dict[str, DelayTable], arrival_rates: dict[str, float]
 ) -> float:

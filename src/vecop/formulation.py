@@ -13,6 +13,7 @@ The evaluator recomputes constraints, power and delay from first principles
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,6 +46,9 @@ __all__ = [
 
 FRACTION_TOL = 1e-9
 OBJECTIVE_TOL = 1e-9
+# The model's delay variables (Q, q, T) count microseconds: path delays of
+# 1e-4..1e-2 s would sit near HiGHS's feasibility tolerances (1e-7..1e-6).
+DELAY_UNIT = 1e-6
 
 
 class FormulationError(ValueError):
@@ -194,7 +198,6 @@ def formulate(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
-    trim_inactive_delay: bool = False,
 ) -> MilpModel:
     """Assemble variables, constraints and the weighted objective.
 
@@ -205,12 +208,16 @@ def formulate(
       aggregate budget, C6 traffic-driven activation, C7 queue bin selection,
       C8 queue-on-path gating, C9 max-delay epigraph.
 
-    With trim_inactive_delay and a zero delay weight, the queue-bin machinery
-    (z, lam, Q, q, T; C7 bin selection, C8, C9) is replaced by the equivalent
-    plain stability cap per link — the delay variables are unconstrained by
-    the objective there and only inflate the search space.
+    Delay variables are in DELAY_UNIT (microseconds); the objective term is
+    w_delay * DELAY_UNIT * T, so the objective value stays in the weights'
+    units.
+
+    At zero delay weight the queue-bin machinery (z, lam, Q, q, T; C7 bin
+    selection, C8, C9) is replaced by the equivalent plain stability cap per
+    link (C7_stab) — the delay variables are unconstrained by the objective
+    there and only inflate the search space.
     """
-    with_delay = not (trim_inactive_delay and weights.w_delay == 0.0)
+    with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
     if not eligible:
         raise FormulationError("no eligible processors")
@@ -239,16 +246,18 @@ def formulate(
     # Activation variables, one per modeled device.
     a = {dev: var(f"a_{_nm(dev)}", BINARY) for dev in sorted(specs)}
 
-    # Queue bin variables per link.
+    # Queue bin variables per link, up to the bin of its largest reachable
+    # arrival rate.
     z: dict[str, list[str]] = {}
     lam: dict[str, str] = {}
     q_link: dict[str, str] = {}
+    top = reachable_bins(scenario, linkset, tables) if with_delay else {}
     if with_delay:
         for link in linkset.links:
-            table = tables[link.id]
-            z[link.id] = [var(f"z_{link.id}_k{k + 1}", BINARY) for k in range(len(table.delays))]
-            lam[link.id] = var(f"lam_{link.id}", CONTINUOUS, 0.0, table.arrival_bounds[-1])
-            q_link[link.id] = var(f"Q_{link.id}", CONTINUOUS, 0.0, table.delays[-1])
+            table, k_top = tables[link.id], top[link.id]
+            z[link.id] = [var(f"z_{link.id}_k{k + 1}", BINARY) for k in range(k_top + 1)]
+            lam[link.id] = var(f"lam_{link.id}", CONTINUOUS, 0.0, table.arrival_bounds[k_top])
+            q_link[link.id] = var(f"Q_{link.id}", CONTINUOUS, 0.0, table.delays[k_top] / DELAY_UNIT)
         t_var = var("T", CONTINUOUS, 0.0, None)
 
     x: dict[tuple[str, str], str] = {}
@@ -372,12 +381,13 @@ def formulate(
             con(f"C7_cover_{link.id}", cover, "<=", 0.0)
             qdef = {q_link[link.id]: -1.0}
             for k, zv in enumerate(z[link.id]):
-                qdef[zv] = table.delays[k]
+                qdef[zv] = table.delays[k] / DELAY_UNIT
             con(f"C7_qdef_{link.id}", qdef, "=", 0.0)
 
-        # C8: q_{d,n,l} >= Q_l - M_l (1 - r); M_l is the link's table maximum.
+        # C8: q_{d,n,l} >= Q_l - M_l (1 - r); M_l is the link's largest
+        # reachable bin delay.
         for (d_id, n, l_id), qv in q.items():
-            big_m = tables[l_id].delays[-1]
+            big_m = tables[l_id].delays[top[l_id]] / DELAY_UNIT
             con(
                 f"C8_gate_{qv}",
                 {q_link[l_id]: 1.0, qv: -1.0, r[d_id, n, l_id]: big_m},
@@ -392,7 +402,9 @@ def formulate(
                     continue
                 coeffs = {t_var: -1.0}
                 for link in linkset.links:
-                    coeffs[r[d.id, n, link.id]] = link.prop_delay + link.tx_delay_per_packet
+                    coeffs[r[d.id, n, link.id]] = (
+                        link.prop_delay + link.tx_delay_per_packet
+                    ) / DELAY_UNIT
                     coeffs[q[d.id, n, link.id]] = 1.0
                 con(f"C9_delay_{_nm(d.id)}_{_nm(n)}", coeffs, "<=", 0.0)
     else:
@@ -439,14 +451,9 @@ def formulate(
                     coef += core * t_bps
                 obj_add(rv, wp * coef)
     if with_delay:
-        obj_add(t_var, wd)
+        obj_add(t_var, wd * DELAY_UNIT)
 
     metadata = {
-        "eligible": eligible,
-        "weights": {"w_power": wp, "w_delay": wd},
-        "big_m": {l.id: tables[l.id].delays[-1] for l in linkset.links},
-        "bins": scenario.settings.bins,
-        "census": model_census_formula(scenario, linkset),
         # Variable-name maps for decoding a solution vector back into an
         # Allocation (solver module).
         "targets": {d.id: list(eligible) for d in scenario.demands},
@@ -458,6 +465,28 @@ def formulate(
     return MilpModel(tuple(variables), tuple(constraints), objective, True, metadata)
 
 
+def reachable_bins(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+) -> dict[str, int]:
+    """Index of the highest queue bin each link can reach: its arrival rate
+    is at most every remote stream at once, and at most its C5a capacity in
+    packets/s. Higher bins could only raise the delay."""
+    eligible = eligible_processors(scenario)
+    packet = scenario.settings.packet_size
+    streams = sum(
+        delaymodel.packets_per_second(d.traffic * 1000.0, packet)
+        * sum(1 for n in eligible if n != d.source)
+        for d in scenario.demands
+    )
+    top = {}
+    for link in linkset.links:
+        bounds = tables[link.id].arrival_bounds
+        lam_max = min(streams, link.capacity / (8.0 * packet))
+        # The margin keeps a rate on a bin bound, up to float dust, inside.
+        top[link.id] = min(len(bounds) - 1, bisect.bisect_left(bounds, lam_max * (1.0 + 1e-9)))
+    return top
+
+
 def model_census(model: MilpModel) -> dict[str, int]:
     return {
         "variables": len(model.variables),
@@ -466,13 +495,16 @@ def model_census(model: MilpModel) -> dict[str, int]:
     }
 
 
-def model_census_formula(scenario: Scenario, linkset: LinkSet) -> dict[str, int]:
-    """Closed-form variable/constraint counts for a formulated model."""
+def model_census_formula(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+) -> dict[str, int]:
+    """Closed-form variable/constraint counts of the delay-weighted model
+    (w_delay != 0), which carries the queue-bin machinery."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
     n_count = len(eligible)
     link_count = len(linkset.links)
-    bins = scenario.settings.bins
+    bins = sum(k + 1 for k in reachable_bins(scenario, linkset, tables).values())
     specs = powermodel.device_specs(scenario)
     dev_count = len(specs)
     remote = sum(1 for d in scenario.demands for n in eligible if n != d.source)
@@ -480,12 +512,12 @@ def model_census_formula(scenario: Scenario, linkset: LinkSet) -> dict[str, int]
 
     variables = (
         dev_count  # a
-        + link_count * (bins + 2)  # z, lam, Q
+        + bins + 2 * link_count  # z, lam, Q
         + 1  # T
         + 2 * d_count * n_count  # x, y
         + 2 * remote * link_count  # r, q
     )
-    binaries = dev_count + link_count * bins + d_count * n_count + remote * link_count
+    binaries = dev_count + bins + d_count * n_count + remote * link_count
 
     out_nodes = len({l.tx_node for l in linkset.links})
     cells = sum(1 for e in scenario.edges() if linkset.cell_links(e.id))

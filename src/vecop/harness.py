@@ -8,8 +8,8 @@ versus the cloud baseline, joint-vs-power delay reduction, and the
 vehicles+edge-vs-cloud delay reduction under the joint objective.
 
 All emission is canonical (fixed column order, 9 significant digits, LF) and
-stamped with provenance: scenario hash, weights, rho, bins, packet size, and
-solver limits.
+stamped with provenance(): scenario hash, rho, bins, packet size, core energy
+per bit and solver limits; the weights are in every row.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "table_to_plotdata",
     "report_to_text",
     "scenario_hash",
+    "provenance",
     "DEFAULT_DEMANDS",
     "DEFAULT_SETTINGS",
     "DEFAULT_PRESETS",
@@ -94,6 +95,19 @@ class ResultTable:
 
 def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(emit_scenario(scenario).encode()).hexdigest()[:16]
+
+
+def provenance(scenario: Scenario, limits: Limits) -> dict:
+    """Inputs that fix a result beyond the weights: stamped on every output."""
+    return {
+        "scenario_hash": scenario_hash(scenario),
+        "mips_per_kbps": scenario.settings.mips_per_kbps,
+        "rho_max": scenario.settings.rho_max,
+        "bins": scenario.settings.bins,
+        "packet_size_bytes": scenario.settings.packet_size,
+        "core_energy_per_bit_j": scenario.settings.core_energy_per_bit,
+        "limits_max_nodes": limits.max_nodes,
+    }
 
 
 def percent_change(baseline: float, variant: float) -> float:
@@ -150,22 +164,15 @@ def _solve_cell(
         if preset == ObjectivePreset.POWER_ONLY:
             result = power_only()
         elif preset == ObjectivePreset.JOINT_EQUAL:
-            pre = power_only()
-            if pre.status != "optimal":
-                result = pre  # same infeasibility verdict under any weights
-            else:
-                delay_pre = run(make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)))
-                t_star = delay_pre.max_delay if delay_pre.status == "optimal" else 0.0
-                if t_star > 0.0:
-                    weights = make_weights(
-                        ObjectivePreset.JOINT_EQUAL, pre_solves=(pre.total_power, t_star)
-                    )
-                else:
-                    # Delay optimum is zero (local processing): the joint
-                    # objective degenerates to power-only.
-                    weights = make_weights(ObjectivePreset.POWER_ONLY)
-                    weights = dataclasses.replace(weights, preset=ObjectivePreset.JOINT_EQUAL)
-                result = run(weights)
+            result = power_only()
+            weights = solver.joint_weights(variant, linkset, tables, result, limits)
+            if weights is not None:
+                # At T* = 0 the joint objective is the power-only one.
+                result = (
+                    dataclasses.replace(result, weights=weights)
+                    if weights.w_delay == 0.0
+                    else run(weights)
+                )
         else:
             result = run(variant.settings.objective)
 
@@ -244,14 +251,7 @@ def sweep(
         cell_rows = [_solve_cell(scenario, d, s, presets, limits, collect) for d, s in cells]
     rows = tuple(r for rs in cell_rows for r in rs)
     metadata = {
-        "scenario_hash": scenario_hash(scenario),
-        "mips_per_kbps": scenario.settings.mips_per_kbps,
-        "rho_max": scenario.settings.rho_max,
-        "bins": scenario.settings.bins,
-        "packet_size_bytes": scenario.settings.packet_size,
-        "core_energy_per_bit_j": scenario.settings.core_energy_per_bit,
-        "limits_max_nodes": limits.max_nodes,
-        "limits_max_hops": limits.max_hops,
+        **provenance(scenario, limits),
         "demands_kbps": list(demands),
         "settings": [s.value for s in settings],
         "objectives": [p.value for p in presets],

@@ -458,6 +458,7 @@ def parse_scenario(document: str) -> Scenario:
 
     st = _get(raw, "settings", "document")
     obj = _get(st, "objective", "settings")
+    defaults = Settings()
     settings = Settings(
         processing_setting=_enum(
             ProcessingSetting,
@@ -469,11 +470,11 @@ def parse_scenario(document: str) -> Scenario:
             w_delay=float(_get(obj, "w_delay", "settings.objective")),
             preset=_enum(ObjectivePreset, obj.get("preset", "CUSTOM"), "settings.objective.preset"),
         ),
-        packet_size=float(st.get("packet_size_bytes", 1500.0)),
-        rho_max=float(st.get("rho_max", 0.95)),
-        bins=int(st.get("bins", 64)),
-        mips_per_kbps=float(st.get("mips_per_kbps", 1.0)),
-        core_energy_per_bit=float(st.get("core_energy_per_bit_j", 2e-8)),
+        packet_size=float(st.get("packet_size_bytes", defaults.packet_size)),
+        rho_max=float(st.get("rho_max", defaults.rho_max)),
+        bins=int(st.get("bins", defaults.bins)),
+        mips_per_kbps=float(st.get("mips_per_kbps", defaults.mips_per_kbps)),
+        core_energy_per_bit=float(st.get("core_energy_per_bit_j", defaults.core_energy_per_bit)),
     )
 
     scenario = Scenario(

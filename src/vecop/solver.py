@@ -7,39 +7,57 @@ split canonically with greedy_split, and re-derives every reported number
 through formulation.evaluate — so solver and evaluator agree to the last bit.
 
 brute_force() is the deliberately plain oracle twin: exhaustive enumeration
-of serving sets and simple-path products with no pruning, lexicographic
-tie-breaking by (serving node ids, route link ids).
+of serving sets and simple-path products with no pruning, every candidate
+checked and scored by formulation.evaluate, lexicographic tie-breaking by
+(serving node ids, route link ids).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
-from . import delaymodel, powermodel
 from .delaymodel import DelayTable
 from .formulation import (
     BINARY,
     Allocation,
+    AllocationError,
     DemandAllocation,
     MilpModel,
     SolveResult,
     SolverStats,
     evaluate,
     formulate,
+    make_weights,
 )
-from .linkmodel import LinkSet, Medium
-from .scenario import DemandSpec, ObjectiveWeights, Scenario, eligible_processors
+from .linkmodel import LinkSet
+from .scenario import (
+    DemandSpec,
+    ObjectivePreset,
+    ObjectiveWeights,
+    Scenario,
+    eligible_processors,
+)
 
-__all__ = ["Limits", "SolverError", "InstanceTooLarge", "solve", "greedy_split", "brute_force"]
+__all__ = [
+    "Limits",
+    "SolverError",
+    "InstanceTooLarge",
+    "solve",
+    "joint_weights",
+    "greedy_split",
+    "brute_force",
+]
 
 CAPACITY_TOL = 1e-9
+# Largest objective cost handed to HiGHS (see solve()).
+OBJECTIVE_PEAK = 1e3
 
 
 class SolverError(ValueError):
@@ -53,9 +71,6 @@ class InstanceTooLarge(SolverError):
 @dataclass(frozen=True)
 class Limits:
     max_nodes: int = 12
-    # Route length cap for the enumerative oracle only; solve()'s routes come
-    # from the flow-conservation constraints and are unbounded simple paths.
-    max_hops: Optional[int] = None
     force: bool = False
 
 
@@ -269,8 +284,15 @@ def solve(
                 ),
             )
 
-    model = formulate(scenario, linkset, tables, weights, trim_inactive_delay=True)
+    model = formulate(scenario, linkset, tables, weights)
     names, c, integrality, bounds, constraint = _to_arrays(model)
+    # HiGHS prunes nodes within 1e-6 objective units of the incumbent. A
+    # delay-weighted objective (joint about 1, delay-only about 3e-4) would
+    # lose better allocations, so its costs are scaled up to OBJECTIVE_PEAK;
+    # the reported numbers come from evaluate().
+    peak = np.abs(c).max(initial=0.0)
+    if weights.w_delay != 0.0 and 0.0 < peak < OBJECTIVE_PEAK:
+        c = c * (OBJECTIVE_PEAK / peak)
     res = milp(
         c,
         constraints=constraint,
@@ -288,34 +310,45 @@ def solve(
             infeasible_reason="C4/C5/C7: no feasible routing to any sufficient serving set",
         )
     allocation = _decode(scenario, linkset, model, names, res.x)
-    result = evaluate(scenario, linkset, tables, allocation, weights)
-    return SolveResult(
-        status="optimal",
-        weights=weights,
-        allocation=allocation,
-        total_power=result.total_power,
-        max_delay=result.max_delay,
-        objective_value=result.objective_value,
-        per_device_power=result.per_device_power,
-        per_target_delay=result.per_target_delay,
-        stats=stats,
+    return replace(evaluate(scenario, linkset, tables, allocation, weights), stats=stats)
+
+
+def joint_weights(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    power: SolveResult,
+    limits: Limits = Limits(),
+) -> Optional[ObjectiveWeights]:
+    """JOINT_EQUAL weights for an instance whose power-only result is `power`.
+
+    Normalizes by P* = power.total_power and by T* from a delay-only solve.
+    When T* is zero (local processing) the joint objective degenerates to
+    power-only, returned tagged JOINT_EQUAL: the joint result is then `power`
+    itself. None when `power` is not optimal: the instance is then
+    infeasible under any weights.
+    """
+    if power.status != "optimal":
+        return None
+    delay = solve(
+        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)), limits
     )
+    t_star = delay.max_delay if delay.status == "optimal" else 0.0
+    if t_star > 0.0:
+        return make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
+    return replace(make_weights(ObjectivePreset.POWER_ONLY), preset=ObjectivePreset.JOINT_EQUAL)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _all_simple_paths(
-    linkset: LinkSet, source: str, target: str, max_hops: Optional[int]
-) -> list[tuple[str, ...]]:
+def _all_simple_paths(linkset: LinkSet, source: str, target: str) -> list[tuple[str, ...]]:
     paths: list[tuple[str, ...]] = []
 
     def walk(vertex: str, visited: frozenset, path: tuple[str, ...]):
         if vertex == target:
             paths.append(path)
-            return
-        if max_hops is not None and len(path) >= max_hops:
             return
         for link in sorted(linkset.out_links(vertex), key=lambda l: l.id):
             if link.rx_node in visited:
@@ -344,46 +377,13 @@ def brute_force(
     if len(scenario.demands) != 1:
         raise SolverError("brute_force handles a single demand")
     demand = scenario.demands[0]
-    t_bps = demand.traffic * 1000.0
     eligible = sorted(eligible_processors(scenario))
-    packet = scenario.settings.packet_size
 
     path_cache = {
-        n: _all_simple_paths(linkset, demand.source, n, limits.max_hops)
-        for n in eligible
-        if n != demand.source
+        n: _all_simple_paths(linkset, demand.source, n) for n in eligible if n != demand.source
     }
-    link_cap = {
-        l.id: min(l.capacity, tables[l.id].arrival_bounds[-1] * 8.0 * packet)
-        for l in linkset.links
-    }
-    cells = {e.id: {l.id for l in linkset.cell_links(e.id)} for e in scenario.edges()}
-    cell_bw = {e.id: e.radio(Medium.WIFI).bandwidth for e in scenario.edges()}
-    specs = powermodel.device_specs(scenario)
 
-    def feasible(route_set: list[tuple[str, ...]]) -> bool:
-        traffic: dict[str, float] = {}
-        for route in route_set:
-            for l in route:
-                traffic[l] = traffic.get(l, 0.0) + t_bps
-        for l, t in traffic.items():
-            if t > link_cap[l] * (1 + CAPACITY_TOL):
-                return False
-        for e, ids in cells.items():
-            if sum(traffic.get(l, 0.0) for l in ids) > cell_bw[e] * (1 + CAPACITY_TOL):
-                return False
-        dev: dict[str, float] = {}
-        for l, t in traffic.items():
-            link = linkset.link(l)
-            dev[link.tx_device] = dev.get(link.tx_device, 0.0) + t
-            dev[link.rx_device] = dev.get(link.rx_device, 0.0) + t
-        for g, t in dev.items():
-            spec = specs.get(g)
-            if spec is not None and t > spec.capacity * (1 + CAPACITY_TOL):
-                return False
-        return True
-
-    best: Optional[tuple[float, Allocation, float, float]] = None
+    best: Optional[SolveResult] = None
     explored = 0
     capacity_ok = False
     for k in range(1, len(eligible) + 1):
@@ -403,8 +403,6 @@ def brute_force(
                 continue
             for route_combo in itertools.product(*(path_cache[n] for n in remote)):
                 explored += 1
-                if not feasible(list(route_combo)):
-                    continue
                 alloc = Allocation(
                     demands={
                         demand.id: DemandAllocation(
@@ -417,21 +415,20 @@ def brute_force(
                         )
                     }
                 )
-                lam = alloc.link_lambda(scenario)
-                max_delay = 0.0
-                for route in route_combo:
-                    links = [linkset.link(l) for l in route]
-                    max_delay = max(max_delay, delaymodel.path_delay(links, tables, lam))
-                power = powermodel.system_power(scenario, linkset, alloc).total
-                obj = weights.w_power * power + weights.w_delay * max_delay
-                if best is None:
-                    best = (obj, alloc, power, max_delay)
+                try:
+                    result = evaluate(scenario, linkset, tables, alloc, weights)
+                except AllocationError:
                     continue
-                tol = 1e-9 * max(1.0, abs(best[0]))
-                if obj < best[0] - tol:
-                    best = (obj, alloc, power, max_delay)
-                elif abs(obj - best[0]) <= tol and alloc.sort_key() < best[1].sort_key():
-                    best = (obj, alloc, power, max_delay)
+                if best is None:
+                    best = result
+                    continue
+                obj, best_obj = result.objective_value, best.objective_value
+                tol = 1e-9 * max(1.0, abs(best_obj))
+                if obj < best_obj - tol or (
+                    abs(obj - best_obj) <= tol
+                    and alloc.sort_key() < best.allocation.sort_key()
+                ):
+                    best = result
 
     wall = time.perf_counter() - start
     stats = SolverStats(nodes_explored=explored, wall_time=wall)
@@ -444,16 +441,4 @@ def brute_force(
         return SolveResult(
             status="infeasible", weights=weights, stats=stats, infeasible_reason=reason
         )
-    _, alloc, power, max_delay = best
-    result = evaluate(scenario, linkset, tables, alloc, weights)
-    return SolveResult(
-        status="optimal",
-        weights=weights,
-        allocation=alloc,
-        total_power=result.total_power,
-        max_delay=result.max_delay,
-        objective_value=result.objective_value,
-        per_device_power=result.per_device_power,
-        per_target_delay=result.per_target_delay,
-        stats=stats,
-    )
+    return replace(best, stats=stats)

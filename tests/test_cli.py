@@ -1,8 +1,13 @@
+import importlib.resources
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from vecop import harness, solver
 from vecop.cli import (
     EXIT_INFEASIBLE,
     EXIT_LIMITS,
@@ -12,12 +17,11 @@ from vecop.cli import (
     main,
 )
 from vecop.lp_io import read_lp
-from vecop.scenario import emit_scenario
+from vecop.scenario import ObjectivePreset, ProcessingSetting, emit_scenario, parse_scenario
 
-from conftest import make_vehicle, small_scenario
+from conftest import make_vehicle, random_oracle_instance, small_scenario
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = str(REPO_ROOT / "scenarios" / "parking-lot-8v2e.json")
+GOLDEN = str(importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json")
 
 
 @pytest.fixture()
@@ -113,6 +117,68 @@ def test_solve_power(tiny_scenario_path, tmp_path):
     assert "scenario_hash" in doc["provenance"]
 
 
+def test_solve_provenance_matches_sweep_header(tiny_scenario_path, tmp_path):
+    out = tmp_path / "result.json"
+    assert main(["solve", "--scenario", tiny_scenario_path, "-o", str(out)]) == EXIT_OK
+    provenance = json.loads(out.read_text())["provenance"]
+    assert provenance["core_energy_per_bit_j"] == 2e-8
+    table = harness.sweep(
+        parse_scenario(Path(tiny_scenario_path).read_text()),
+        demands=(400.0,),
+        settings=(ProcessingSetting.VEHICLES_ONLY,),
+        presets=(ObjectivePreset.POWER_ONLY,),
+    )
+    assert provenance == {k: table.metadata[k] for k in provenance}
+
+
+def test_solve_joint_matches_sweep_cell(tmp_path):
+    # 1000 kbps overloads v1 (800 MIPS), so the delay optimum T* is positive.
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
+    )
+    p = tmp_path / "split.json"
+    p.write_text(emit_scenario(s))
+    out = tmp_path / "result.json"
+    assert main(["solve", "--scenario", str(p), "--objective", "joint", "-o", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    row = harness.sweep(
+        s,
+        demands=(1000.0,),
+        settings=(ProcessingSetting.VEHICLES_ONLY,),
+        presets=(ObjectivePreset.JOINT_EQUAL,),
+    ).rows[0]
+    assert row.w_delay > 0.0
+    assert doc["weights"] == {
+        "preset": "JOINT_EQUAL", "w_power": row.w_power, "w_delay": row.w_delay
+    }
+    assert doc["objective_value"] == row.objective_value
+
+
+def test_solve_joint_solves_no_model_twice(
+    tiny_scenario_path, overload_scenario_path, tmp_path, monkeypatch
+):
+    calls = []
+    solve = solver.solve
+
+    def counted(*args, **kwargs):
+        calls.append((args[3].w_power, args[3].w_delay))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counted)
+    out = tmp_path / "result.json"
+    # 400 kbps stays on the source vehicle: T* = 0, so the joint result is
+    # the power-only one.
+    argv = ["solve", "--scenario", tiny_scenario_path, "--objective", "joint", "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    assert calls == [(1.0, 0.0), (0.0, 1.0)]
+    doc = json.loads(out.read_text())
+    assert doc["weights"] == {"preset": "JOINT_EQUAL", "w_power": 1.0, "w_delay": 0.0}
+    calls.clear()
+    argv[2] = overload_scenario_path
+    assert main(argv) == EXIT_INFEASIBLE
+    assert calls == [(1.0, 0.0)]
+
+
 def test_solve_joint_and_custom(tiny_scenario_path, tmp_path):
     out = tmp_path / "result.json"
     assert (
@@ -145,6 +211,22 @@ def test_solve_objective_spelling(tiny_scenario_path):
         main(["solve", "--scenario", tiny_scenario_path, "--objective", "custom:1"])
         == EXIT_VALIDATION
     )
+
+
+def test_solve_stdout_is_only_the_document(tmp_path):
+    # On this instance and objective HiGHS prints a diagnostic from C to
+    # file descriptor 1 during the solve.
+    p = tmp_path / "seed24.json"
+    p.write_text(emit_scenario(random_oracle_instance(24)))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from vecop.cli import main; sys.exit(main())",
+         "solve", "--scenario", str(p), "--objective", "custom:0.001,1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == EXIT_OK
+    assert json.loads(run.stdout)["status"] == "optimal"
 
 
 def test_solve_infeasible_exit(overload_scenario_path, tmp_path):

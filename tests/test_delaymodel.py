@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from vecop.delaymodel import (
     QueueSpec,
     UnstableQueueError,
-    bin_index,
     build_table,
     lookup,
     mm1_delay,
@@ -77,12 +76,6 @@ def test_lookup_cap_and_dust():
         lookup(table, top * 1.01)
     with pytest.raises(ValueError):
         lookup(table, -1.0)
-
-
-def test_bin_index_mirrors_lookup():
-    table = build_table(QueueSpec("l0", 2250.0, 0.95), bins=8)
-    for lam in [0.0, 1.0, 500.0, 1068.75, 2000.0, table.arrival_bounds[-1]]:
-        assert table.delays[bin_index(table, lam)] == lookup(table, lam)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,8 @@ from vecop.formulation import (
     formulate,
     make_weights,
     model_census,
+    model_census_formula,
+    reachable_bins,
 )
 from vecop.scenario import Medium, ObjectivePreset, ObjectiveWeights, ProcessingSetting
 
@@ -34,12 +36,32 @@ def _ctx(nodes, **kw):
     return s, ls, tb
 
 
-def test_census_matches_closed_form(default_model):
+def test_census_matches_closed_form(
+    default_model, default_scenario, default_linkset, default_tables
+):
     census = model_census(default_model)
-    assert census == default_model.metadata["census"]
+    assert census == model_census_formula(default_scenario, default_linkset, default_tables)
     # Spot figures for the default instance: 11 nodes, 92 links, 64 bins,
     # 8 eligible vehicles (V+E has 10), single demand.
     assert census["variables"] > 0 and census["binaries"] < census["variables"]
+
+
+def test_reachable_bins_hold_the_largest_arrival_rate(
+    default_model, default_scenario, default_linkset, default_tables
+):
+    # Default lot: one demand, 9 remote targets (7 vehicles, 2 edges); every
+    # link keeps exactly the bins up to the one its peak rate (all streams,
+    # or the C5a capacity in packets/s) falls into.
+    (d,) = default_scenario.demands
+    pps = delaymodel.packets_per_second(d.traffic * 1000.0, 1500.0)
+    top = reachable_bins(default_scenario, default_linkset, default_tables)
+    kept = {v.name for v in default_model.variables if v.name.startswith("z_")}
+    assert len(kept) == sum(k + 1 for k in top.values()) < 64 * len(default_linkset.links)
+    for link in default_linkset.links:
+        table, k = default_tables[link.id], top[link.id]
+        peak = min(9 * pps, link.capacity / (8.0 * 1500.0), table.arrival_bounds[-1])
+        assert delaymodel.lookup(table, peak) == table.delays[k]
+        assert f"z_{link.id}_k{k + 1}" in kept and f"z_{link.id}_k{k + 2}" not in kept
 
 
 def test_constraint_families_present(default_model):
@@ -48,9 +70,7 @@ def test_constraint_families_present(default_model):
 
 
 def test_trim_drops_delay_machinery(default_scenario, default_linkset, default_tables):
-    trimmed = formulate(
-        default_scenario, default_linkset, default_tables, POWER, trim_inactive_delay=True
-    )
+    trimmed = formulate(default_scenario, default_linkset, default_tables, POWER)
     names = {v.name for v in trimmed.variables}
     assert "T" not in names
     assert not any(n.startswith("z_") or n.startswith("Q_") for n in names)
@@ -61,10 +81,9 @@ def test_trim_drops_delay_machinery(default_scenario, default_linkset, default_t
 
 
 def test_trim_ignored_with_delay_weight(default_scenario, default_linkset, default_tables):
-    full = formulate(
-        default_scenario, default_linkset, default_tables, JOINT, trim_inactive_delay=True
-    )
+    full = formulate(default_scenario, default_linkset, default_tables, JOINT)
     assert any(v.name == "T" for v in full.variables)
+    assert not any(c.name.startswith("C7_stab_") for c in full.constraints)
 
 
 def test_model_rejects_undeclared_names():

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib.resources
 import json
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +21,7 @@ from vecop.scenario import (
 
 from conftest import make_edge, make_vehicle, small_scenario
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json"
 
 
 def test_generate_default_shape():
@@ -48,16 +47,7 @@ def test_vehicle_positions_inside_lot():
 
 
 def test_golden_file_matches_generator():
-    golden = (REPO_ROOT / "scenarios" / "parking-lot-8v2e.json").read_text()
-    assert golden == emit_scenario(generate_default(42))
-
-
-def test_packaged_scenario_identical_to_golden():
-    packaged = (
-        importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json"
-    ).read_text()
-    golden = (REPO_ROOT / "scenarios" / "parking-lot-8v2e.json").read_text()
-    assert packaged == golden
+    assert GOLDEN.read_text() == emit_scenario(generate_default(42))
 
 
 def test_round_trip_identity(default_scenario):
@@ -66,8 +56,7 @@ def test_round_trip_identity(default_scenario):
 
 
 def test_parse_golden(default_scenario):
-    doc = (REPO_ROOT / "scenarios" / "parking-lot-8v2e.json").read_text()
-    s = parse_scenario(doc)
+    s = parse_scenario(GOLDEN.read_text())
     assert len(s.nodes) == 11
     assert s.demands[0].traffic == 1000.0
     assert s.demands[0].load == 1000.0  # mips_per_kbps = 1 default
@@ -121,6 +110,14 @@ def test_parse_error_names_field():
     )
     with pytest.raises(ScenarioError):
         parse_scenario(doc)
+
+
+def test_parse_fills_missing_settings_from_settings_defaults():
+    raw = json.loads(GOLDEN.read_text())
+    for key in ("packet_size_bytes", "rho_max", "bins", "mips_per_kbps", "core_energy_per_bit_j"):
+        del raw["settings"][key]
+    # The golden document's setting and objective are the Settings() defaults too.
+    assert parse_scenario(json.dumps(raw)).settings == Settings()
 
 
 def test_parse_rejects_malformed_json():
