@@ -1,8 +1,9 @@
 """Run a reduced demand sweep (three demand sizes, all settings, both
 objectives) and print the sweep CSV plus the four comparison metrics.
 
-The full six-point sweep takes ~5 minutes; this reduced one finishes in
-about a minute.  Run:  python3 demos/sweep_small.py
+The full six-point sweep takes about 2 minutes on one thread; this reduced
+one finishes in about 25 seconds on a 2-core machine.
+Run:  python3 demos/sweep_small.py
 """
 
 from vecop import harness

@@ -4,8 +4,8 @@ independent allocation evaluator.
 Decision structure: processing splits fractionally across serving nodes
 (x, y) while the data stream is replicated whole to every serving node over
 one simple path each (binary r). Queueing delay enters linearly through the
-per-link lookup-table bins (z) and a per-(demand, target, link) gated copy
-(q) feeding the max-delay variable T.
+per-link lookup-table bins (z) and a per-(demand, target, route link) gated
+copy (q) feeding the max-delay variable T.
 
 The evaluator recomputes constraints, power and delay from first principles
 (powermodel/delaymodel) and shares no bookkeeping with the solver.
@@ -22,6 +22,7 @@ from . import delaymodel, powermodel
 from .delaymodel import DelayTable
 from .linkmodel import Link, LinkSet, Medium
 from .scenario import (
+    DemandSpec,
     ObjectivePreset,
     ObjectiveWeights,
     Scenario,
@@ -39,6 +40,7 @@ __all__ = [
     "AllocationError",
     "FormulationError",
     "formulate",
+    "route_links",
     "evaluate",
     "make_weights",
     "model_census",
@@ -193,6 +195,23 @@ def _nm(raw: str) -> str:
     return _NAME_RE.sub("_", raw)
 
 
+def route_links(linkset: LinkSet, source: str, target: str) -> list[Link]:
+    """Links a stream replicated from `source` to `target` may use, in link
+    set order.
+
+    A simple source-target path never enters the source or leaves the
+    target, and flow conservation keeps it out of every dead end (a node
+    without outgoing links, such as the cloud) other than the target.
+    """
+    return [
+        link
+        for link in linkset.links
+        if link.rx_node != source
+        and link.tx_node != target
+        and (link.rx_node == target or linkset.out_links(link.rx_node))
+    ]
+
+
 def formulate(
     scenario: Scenario,
     linkset: LinkSet,
@@ -204,18 +223,23 @@ def formulate(
     Constraint families (names carry the family prefix):
       C1 demand completion, C2 linking, C3 processing capacity,
       C4 per-target unsplittable routing (flow conservation + simple path),
-      C5a per-link capacity, C5b shared AP cell budget, C5c per-interface
-      aggregate budget, C6 traffic-driven activation, C7 queue bin selection,
+      C5b shared AP cell budget, C5c per-interface aggregate budget,
+      C6 traffic-driven activation, C7 queue stability and bin selection,
       C8 queue-on-path gating, C9 max-delay epigraph.
+
+    Each (demand, remote target) stream gets routing variables only on its
+    route_links. C7_load caps every link's arrival rate at rho_max * mu,
+    which keeps its traffic under the link capacity (rho_max < 1), so the
+    per-link capacity C5a needs no row of its own.
 
     Delay variables are in DELAY_UNIT (microseconds); the objective term is
     w_delay * DELAY_UNIT * T, so the objective value stays in the weights'
     units.
 
-    At zero delay weight the queue-bin machinery (z, lam, Q, q, T; C7 bin
-    selection, C8, C9) is replaced by the equivalent plain stability cap per
-    link (C7_stab) — the delay variables are unconstrained by the objective
-    there and only inflate the search space.
+    At zero delay weight the queue-bin machinery (z, Q, q, T; C7 bin
+    selection, C8, C9) is left out and C7_load is the plain stability cap:
+    the delay variables would be unconstrained by the objective there and
+    only inflate the search space.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -249,14 +273,12 @@ def formulate(
     # Queue bin variables per link, up to the bin of its largest reachable
     # arrival rate.
     z: dict[str, list[str]] = {}
-    lam: dict[str, str] = {}
     q_link: dict[str, str] = {}
     top = reachable_bins(scenario, linkset, tables) if with_delay else {}
     if with_delay:
         for link in linkset.links:
             table, k_top = tables[link.id], top[link.id]
             z[link.id] = [var(f"z_{link.id}_k{k + 1}", BINARY) for k in range(k_top + 1)]
-            lam[link.id] = var(f"lam_{link.id}", CONTINUOUS, 0.0, table.arrival_bounds[k_top])
             q_link[link.id] = var(f"Q_{link.id}", CONTINUOUS, 0.0, table.delays[k_top] / DELAY_UNIT)
         t_var = var("T", CONTINUOUS, 0.0, None)
 
@@ -264,18 +286,27 @@ def formulate(
     y: dict[tuple[str, str], str] = {}
     r: dict[tuple[str, str, str], str] = {}
     q: dict[tuple[str, str, str], str] = {}
+    # Route links of every (demand, remote target) stream.
+    routes: dict[tuple[DemandSpec, str], list[Link]] = {}
 
     for d in scenario.demands:
         for n in eligible:
             x[d.id, n] = var(f"x_{_nm(d.id)}_{_nm(n)}", CONTINUOUS, 0.0, 1.0)
             y[d.id, n] = var(f"y_{_nm(d.id)}_{_nm(n)}", BINARY)
             if n != d.source:
-                for link in linkset.links:
+                routes[d, n] = route_links(linkset, d.source, n)
+                for link in routes[d, n]:
                     r[d.id, n, link.id] = var(f"r_{_nm(d.id)}_{_nm(n)}_{link.id}", BINARY)
                     if with_delay:
                         q[d.id, n, link.id] = var(
                             f"q_{_nm(d.id)}_{_nm(n)}_{link.id}", CONTINUOUS, 0.0, None
                         )
+
+    # bit/s carried per link as a linear form in the r variables.
+    traffic = {d.id: d.traffic * 1000.0 for d in scenario.demands}
+    carried: dict[str, dict[str, float]] = {link.id: {} for link in linkset.links}
+    for (d_id, _n, l_id), rv in r.items():
+        carried[l_id][rv] = traffic[d_id]
 
     # C1 / C2 / C3.
     for d in scenario.demands:
@@ -294,96 +325,66 @@ def formulate(
         con(f"C3_cap_{_nm(n)}", coeffs, "<=", cap)
 
     # C4: binary per-target flow conservation plus simple-path degree caps.
-    for d in scenario.demands:
-        for n in eligible:
-            if n == d.source:
-                continue
-            for v in node_ids:
-                coeffs: dict[str, float] = {}
-                for link in linkset.out_links(v):
-                    coeffs[r[d.id, n, link.id]] = coeffs.get(r[d.id, n, link.id], 0.0) + 1.0
-                for link in linkset.in_links(v):
-                    coeffs[r[d.id, n, link.id]] = coeffs.get(r[d.id, n, link.id], 0.0) - 1.0
-                ind = 1.0 if v == d.source else (-1.0 if v == n else 0.0)
-                if ind != 0.0:
-                    coeffs[y[d.id, n]] = -ind
-                if coeffs:
-                    con(f"C4_flow_{_nm(d.id)}_{_nm(n)}_{_nm(v)}", coeffs, "=", 0.0)
-                out = {r[d.id, n, link.id]: 1.0 for link in linkset.out_links(v)}
-                if out:
-                    con(f"C4_deg_{_nm(d.id)}_{_nm(n)}_{_nm(v)}", out, "<=", 1.0)
+    for (d, n), links in routes.items():
+        flow: dict[str, dict[str, float]] = {v: {} for v in node_ids}
+        out: dict[str, dict[str, float]] = {v: {} for v in node_ids}
+        for link in links:
+            rv = r[d.id, n, link.id]
+            flow[link.tx_node][rv] = 1.0
+            flow[link.rx_node][rv] = -1.0
+            out[link.tx_node][rv] = 1.0
+        flow[d.source][y[d.id, n]] = -1.0
+        flow[n][y[d.id, n]] = 1.0
+        for v in node_ids:
+            if flow[v]:
+                con(f"C4_flow_{_nm(d.id)}_{_nm(n)}_{_nm(v)}", flow[v], "=", 0.0)
+            if out[v]:
+                con(f"C4_deg_{_nm(d.id)}_{_nm(n)}_{_nm(v)}", out[v], "<=", 1.0)
 
-    def stream_vars(link: Link) -> dict[str, float]:
-        """bit/s carried on `link` as a linear form in the r variables."""
-        coeffs: dict[str, float] = {}
-        for d in scenario.demands:
-            t_bps = d.traffic * 1000.0
-            for n in eligible:
-                if n == d.source:
-                    continue
-                coeffs[r[d.id, n, link.id]] = t_bps
-        return coeffs
+    # C5b per-AP-cell and C5c per-interface budgets.
+    def budget(name: str, links: list[Link], limit: float) -> None:
+        coeffs = {rv: t for link in links for rv, t in carried[link.id].items()}
+        if coeffs:
+            con(name, coeffs, "<=", limit)
 
-    # C5a per-link, C5b per-AP-cell, C5c per-interface budgets.
-    for link in linkset.links:
-        con(f"C5a_link_{link.id}", stream_vars(link), "<=", link.capacity)
     for e in scenario.edges():
-        cell = linkset.cell_links(e.id)
-        if not cell:
-            continue
-        coeffs: dict[str, float] = {}
-        for link in cell:
-            for name, c in stream_vars(link).items():
-                coeffs[name] = coeffs.get(name, 0.0) + c
-        ap_bw = e.radio(Medium.WIFI).bandwidth
-        con(f"C5b_cell_{_nm(e.id)}", coeffs, "<=", ap_bw)
+        budget(f"C5b_cell_{_nm(e.id)}", linkset.cell_links(e.id), e.radio(Medium.WIFI).bandwidth)
     touching: dict[str, list[Link]] = {}
     for link in linkset.links:
         touching.setdefault(link.tx_device, []).append(link)
         touching.setdefault(link.rx_device, []).append(link)
     for dev in sorted(touching):
-        spec = specs.get(dev)
-        if spec is None:
-            continue
-        coeffs = {}
-        for link in touching[dev]:
-            for name, c in stream_vars(link).items():
-                coeffs[name] = coeffs.get(name, 0.0) + c
-        con(f"C5c_iface_{_nm(dev)}", coeffs, "<=", spec.capacity)
+        if dev in specs:
+            budget(f"C5c_iface_{_nm(dev)}", touching[dev], specs[dev].capacity)
 
     # C6: carrying traffic activates both endpoint devices.
-    for d in scenario.demands:
-        for n in eligible:
-            if n == d.source:
-                continue
-            for link in linkset.links:
-                rv = r[d.id, n, link.id]
-                for dev in (link.tx_device, link.rx_device):
-                    if dev in a:
-                        con(f"C6_act_{rv}_{_nm(dev)}", {rv: 1.0, a[dev]: -1.0}, "<=", 0.0)
+    for (_d, _n, l_id), rv in r.items():
+        link = linkset.link(l_id)
+        for dev in (link.tx_device, link.rx_device):
+            if dev in a:
+                con(f"C6_act_{rv}_{_nm(dev)}", {rv: 1.0, a[dev]: -1.0}, "<=", 0.0)
+
+    # C7: the arrival rate stays under rho_max * mu, and with delay it is
+    # covered by the one selected bin whose delay Q carries.
+    for link in linkset.links:
+        table = tables[link.id]
+        load = {
+            rv: delaymodel.packets_per_second(t, packet) for rv, t in carried[link.id].items()
+        }
+        if not with_delay:
+            if load:
+                con(f"C7_load_{link.id}", load, "<=", table.arrival_bounds[-1])
+            continue
+        con(f"C7_onebin_{link.id}", {zv: 1.0 for zv in z[link.id]}, "=", 1.0)
+        for k, zv in enumerate(z[link.id]):
+            load[zv] = -table.arrival_bounds[k]
+        con(f"C7_load_{link.id}", load, "<=", 0.0)
+        qdef = {q_link[link.id]: -1.0}
+        for k, zv in enumerate(z[link.id]):
+            qdef[zv] = table.delays[k] / DELAY_UNIT
+        con(f"C7_qdef_{link.id}", qdef, "=", 0.0)
 
     if with_delay:
-        # C7: one bin per link; arrival rate definition and bin cover; Q selection.
-        for link in linkset.links:
-            table = tables[link.id]
-            con(f"C7_onebin_{link.id}", {zv: 1.0 for zv in z[link.id]}, "=", 1.0)
-            lam_def = {lam[link.id]: -1.0}
-            for d in scenario.demands:
-                pps = delaymodel.packets_per_second(d.traffic * 1000.0, packet)
-                for n in eligible:
-                    if n == d.source:
-                        continue
-                    lam_def[r[d.id, n, link.id]] = pps
-            con(f"C7_lam_{link.id}", lam_def, "=", 0.0)
-            cover = {lam[link.id]: 1.0}
-            for k, zv in enumerate(z[link.id]):
-                cover[zv] = -table.arrival_bounds[k]
-            con(f"C7_cover_{link.id}", cover, "<=", 0.0)
-            qdef = {q_link[link.id]: -1.0}
-            for k, zv in enumerate(z[link.id]):
-                qdef[zv] = table.delays[k] / DELAY_UNIT
-            con(f"C7_qdef_{link.id}", qdef, "=", 0.0)
-
         # C8: q_{d,n,l} >= Q_l - M_l (1 - r); M_l is the link's largest
         # reachable bin delay.
         for (d_id, n, l_id), qv in q.items():
@@ -396,31 +397,13 @@ def formulate(
             )
 
         # C9: per-(demand, target) max-delay epigraph.
-        for d in scenario.demands:
-            for n in eligible:
-                if n == d.source:
-                    continue
-                coeffs = {t_var: -1.0}
-                for link in linkset.links:
-                    coeffs[r[d.id, n, link.id]] = (
-                        link.prop_delay + link.tx_delay_per_packet
-                    ) / DELAY_UNIT
-                    coeffs[q[d.id, n, link.id]] = 1.0
-                con(f"C9_delay_{_nm(d.id)}_{_nm(n)}", coeffs, "<=", 0.0)
-    else:
-        # C7 stability kept as a plain linear cap on the aggregate arrival
-        # rate (identical feasible set; the bin machinery is objective-inert).
-        for link in linkset.links:
-            table = tables[link.id]
-            stab: dict[str, float] = {}
-            for d in scenario.demands:
-                pps = delaymodel.packets_per_second(d.traffic * 1000.0, packet)
-                for n in eligible:
-                    if n == d.source:
-                        continue
-                    stab[r[d.id, n, link.id]] = pps
-            if stab:
-                con(f"C7_stab_{link.id}", stab, "<=", table.arrival_bounds[-1])
+        for (d, n), links in routes.items():
+            coeffs = {t_var: -1.0}
+            for link in links:
+                rv = r[d.id, n, link.id]
+                coeffs[rv] = (link.prop_delay + link.tx_delay_per_packet) / DELAY_UNIT
+                coeffs[q[d.id, n, link.id]] = 1.0
+            con(f"C9_delay_{_nm(d.id)}_{_nm(n)}", coeffs, "<=", 0.0)
 
     # Objective: w_power * P_total(a, x, r) + w_delay * T.
     wp, wd = weights.w_power, weights.w_delay
@@ -432,24 +415,19 @@ def formulate(
             span = spec.power_max - spec.power_idle
             obj_add(x[d.id, n], wp * span * (d.load or 0.0) / spec.capacity)
     core = scenario.settings.core_energy_per_bit
-    for link in linkset.links:
-        for d in scenario.demands:
-            t_bps = d.traffic * 1000.0
-            for n in eligible:
-                if n == d.source:
-                    continue
-                rv = r[d.id, n, link.id]
-                coef = 0.0
-                for dev in (link.tx_device, link.rx_device):
-                    spec = specs.get(dev)
-                    if spec is not None:
-                        coef += (spec.power_max - spec.power_idle) * t_bps / spec.capacity
-                tx_spec = specs.get(link.tx_device)
-                if tx_spec is not None:
-                    coef += link.radiated_power * t_bps / tx_spec.capacity
-                if link.medium == Medium.FIBER:
-                    coef += core * t_bps
-                obj_add(rv, wp * coef)
+    for (d_id, _n, l_id), rv in r.items():
+        link, t_bps = linkset.link(l_id), traffic[d_id]
+        coef = 0.0
+        for dev in (link.tx_device, link.rx_device):
+            spec = specs.get(dev)
+            if spec is not None:
+                coef += (spec.power_max - spec.power_idle) * t_bps / spec.capacity
+        tx_spec = specs.get(link.tx_device)
+        if tx_spec is not None:
+            coef += link.radiated_power * t_bps / tx_spec.capacity
+        if link.medium == Medium.FIBER:
+            coef += core * t_bps
+        obj_add(rv, wp * coef)
     if with_delay:
         obj_add(t_var, wd * DELAY_UNIT)
 
@@ -457,8 +435,6 @@ def formulate(
         # Variable-name maps for decoding a solution vector back into an
         # Allocation (solver module).
         "targets": {d.id: list(eligible) for d in scenario.demands},
-        "links": [l.id for l in linkset.links],
-        "x": dict(x),
         "y": dict(y),
         "r": dict(r),
     }
@@ -469,8 +445,8 @@ def reachable_bins(
     scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
 ) -> dict[str, int]:
     """Index of the highest queue bin each link can reach: its arrival rate
-    is at most every remote stream at once, and at most its C5a capacity in
-    packets/s. Higher bins could only raise the delay."""
+    is at most every remote stream at once, and at most rho_max * mu (the
+    last bin). Higher bins could only raise the delay."""
     eligible = eligible_processors(scenario)
     packet = scenario.settings.packet_size
     streams = sum(
@@ -481,9 +457,8 @@ def reachable_bins(
     top = {}
     for link in linkset.links:
         bounds = tables[link.id].arrival_bounds
-        lam_max = min(streams, link.capacity / (8.0 * packet))
         # The margin keeps a rate on a bin bound, up to float dust, inside.
-        top[link.id] = min(len(bounds) - 1, bisect.bisect_left(bounds, lam_max * (1.0 + 1e-9)))
+        top[link.id] = min(len(bounds) - 1, bisect.bisect_left(bounds, streams * (1.0 + 1e-9)))
     return top
 
 
@@ -498,8 +473,9 @@ def model_census(model: MilpModel) -> dict[str, int]:
 def model_census_formula(
     scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
 ) -> dict[str, int]:
-    """Closed-form variable/constraint counts of the delay-weighted model
-    (w_delay != 0), which carries the queue-bin machinery."""
+    """Closed-form variable/constraint counts, given the route_links of each
+    stream, of the delay-weighted model (w_delay != 0), which carries the
+    queue-bin machinery."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
     n_count = len(eligible)
@@ -507,40 +483,43 @@ def model_census_formula(
     bins = sum(k + 1 for k in reachable_bins(scenario, linkset, tables).values())
     specs = powermodel.device_specs(scenario)
     dev_count = len(specs)
-    remote = sum(1 for d in scenario.demands for n in eligible if n != d.source)
-    node_count = len(scenario.nodes)
+    routes = [
+        (d.source, n, route_links(linkset, d.source, n))
+        for d in scenario.demands
+        for n in eligible
+        if n != d.source
+    ]
+    arcs = [l for _s, _n, links in routes for l in links]
+    used = {l.id for l in arcs}
 
     variables = (
         dev_count  # a
-        + bins + 2 * link_count  # z, lam, Q
+        + bins + link_count  # z, Q
         + 1  # T
         + 2 * d_count * n_count  # x, y
-        + 2 * remote * link_count  # r, q
+        + 2 * len(arcs)  # r, q
     )
-    binaries = dev_count + bins + d_count * n_count + remote * link_count
+    binaries = dev_count + bins + d_count * n_count + len(arcs)
 
-    out_nodes = len({l.tx_node for l in linkset.links})
-    cells = sum(1 for e in scenario.edges() if linkset.cell_links(e.id))
-    ifaces = len(
-        {l.tx_device for l in linkset.links if l.tx_device in specs}
-        | {l.rx_device for l in linkset.links if l.rx_device in specs}
+    cells = sum(
+        1 for e in scenario.edges() if any(l.id in used for l in linkset.cell_links(e.id))
     )
+    ifaces = {dev for l in arcs for dev in (l.tx_device, l.rx_device)} & set(specs)
     constraints = (
         d_count  # C1
         + 2 * d_count * n_count  # C2
         + n_count  # C3
-        + remote * (node_count + out_nodes)  # C4 flow + degree
-        + link_count  # C5a
-        + cells  # C5b
-        + ifaces  # C5c
-        + sum(
-            (1 if l.tx_device in specs else 0) + (1 if l.rx_device in specs else 0)
-            for l in linkset.links
+        + sum(  # C4 flow + degree
+            len({s, n} | {l.tx_node for l in links} | {l.rx_node for l in links})
+            + len({l.tx_node for l in links})
+            for s, n, links in routes
         )
-        * remote  # C6
-        + 4 * link_count  # C7
-        + remote * link_count  # C8
-        + remote  # C9
+        + cells  # C5b
+        + len(ifaces)  # C5c
+        + sum((l.tx_device in specs) + (l.rx_device in specs) for l in arcs)  # C6
+        + 3 * link_count  # C7
+        + len(arcs)  # C8
+        + len(routes)  # C9
     )
     return {"variables": variables, "binaries": binaries, "constraints": constraints}
 

@@ -58,6 +58,8 @@ __all__ = [
 CAPACITY_TOL = 1e-9
 # Largest objective cost handed to HiGHS (see solve()).
 OBJECTIVE_PEAK = 1e3
+# Largest instance brute_force enumerates.
+BRUTE_FORCE_MAX_NODES = 6
 
 
 class SolverError(ValueError):
@@ -232,6 +234,10 @@ def _decode(
         )
         serving_by_demand[d.id] = serving
     splits = _split_for(serving_by_demand, scenario)
+    chosen: dict[tuple[str, str], set[str]] = {}
+    for (d_id, n, link_id), rv in meta["r"].items():
+        if value[rv] > 0.5:
+            chosen.setdefault((d_id, n), set()).add(link_id)
     for d in scenario.demands:
         serving = serving_by_demand[d.id]
         routes: dict[str, tuple[str, ...]] = {}
@@ -239,12 +245,9 @@ def _decode(
             if n == d.source:
                 routes[n] = ()
                 continue
-            chosen = {
-                link_id
-                for link_id in meta["links"]
-                if value.get(meta["r"][(d.id, n, link_id)], 0.0) > 0.5
-            }
-            routes[n] = _walk_route(scenario, linkset, d.id, d.source, n, chosen)
+            routes[n] = _walk_route(
+                scenario, linkset, d.id, d.source, n, chosen.get((d.id, n), set())
+            )
         demands[d.id] = DemandAllocation(
             serving=serving, fractions=splits[d.id], routes=routes
         )
@@ -364,16 +367,15 @@ def brute_force(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
-    limits: Limits = Limits(max_nodes=6),
 ) -> SolveResult:
     """Exhaustive reference search: every serving set, every route product.
 
-    Single demand, at most 6 nodes. No pruning beyond hard feasibility;
-    deterministic lexicographic tie-breaking.
+    Single demand, at most BRUTE_FORCE_MAX_NODES nodes. No pruning beyond
+    hard feasibility; deterministic lexicographic tie-breaking.
     """
     start = time.perf_counter()
-    if len(scenario.nodes) > limits.max_nodes:
-        raise InstanceTooLarge(f"brute_force limited to {limits.max_nodes} nodes")
+    if len(scenario.nodes) > BRUTE_FORCE_MAX_NODES:
+        raise InstanceTooLarge(f"brute_force limited to {BRUTE_FORCE_MAX_NODES} nodes")
     if len(scenario.demands) != 1:
         raise SolverError("brute_force handles a single demand")
     demand = scenario.demands[0]

@@ -213,19 +213,29 @@ def test_solve_objective_spelling(tiny_scenario_path):
     )
 
 
-def test_solve_stdout_is_only_the_document(tmp_path):
-    # On this instance and objective HiGHS prints a diagnostic from C to
-    # file descriptor 1 during the solve.
-    p = tmp_path / "seed24.json"
-    p.write_text(emit_scenario(random_oracle_instance(24)))
+def test_solve_stdout_is_only_the_document(tiny_scenario_path):
+    # HiGHS can print diagnostics from C to file descriptor 1 during a solve.
+    # The child writes such a line through C stdio before every milp call.
+    child = (
+        "import ctypes, sys\n"
+        "from vecop import solver\n"
+        "from vecop.cli import main\n"
+        "real = solver.milp\n"
+        "def noisy(*args, **kwargs):\n"
+        "    ctypes.CDLL(None).printf(b'C-LEVEL DIAGNOSTIC\\n')\n"
+        "    return real(*args, **kwargs)\n"
+        "solver.milp = noisy\n"
+        "sys.exit(main())\n"
+    )
     run = subprocess.run(
-        [sys.executable, "-c", "import sys; from vecop.cli import main; sys.exit(main())",
-         "solve", "--scenario", str(p), "--objective", "custom:0.001,1"],
+        [sys.executable, "-c", child, "solve", "--scenario", tiny_scenario_path,
+         "--objective", "custom:0.001,1"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert run.returncode == EXIT_OK
+    assert "C-LEVEL DIAGNOSTIC" in run.stderr
     assert json.loads(run.stdout)["status"] == "optimal"
 
 

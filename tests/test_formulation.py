@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from vecop import delaymodel, linkmodel
@@ -15,10 +19,22 @@ from vecop.formulation import (
     model_census,
     model_census_formula,
     reachable_bins,
+    route_links,
 )
-from vecop.scenario import Medium, ObjectivePreset, ObjectiveWeights, ProcessingSetting
+from vecop.scenario import (
+    DemandSpec,
+    Medium,
+    ObjectivePreset,
+    ObjectiveWeights,
+    ProcessingSetting,
+    eligible_processors,
+    validate,
+)
+from vecop.solver import _all_simple_paths
 
-from conftest import make_edge, make_vehicle, small_scenario
+from conftest import make_edge, make_vehicle, random_oracle_instance, small_scenario
+
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 POWER = ObjectiveWeights(1.0, 0.0, ObjectivePreset.POWER_ONLY)
 JOINT = ObjectiveWeights(0.02, 2000.0, ObjectivePreset.CUSTOM)
@@ -41,8 +57,10 @@ def test_census_matches_closed_form(
 ):
     census = model_census(default_model)
     assert census == model_census_formula(default_scenario, default_linkset, default_tables)
-    # Spot figures for the default instance: 11 nodes, 92 links, 64 bins,
-    # 8 eligible vehicles (V+E has 10), single demand.
+    # Default instance: 11 nodes, 92 links, 9 remote targets of one demand;
+    # each stream gets routing variables only on its route links.
+    r_vars = [v for v in default_model.variables if v.name.startswith("r_")]
+    assert len(r_vars) < 9 * len(default_linkset.links)
     assert census["variables"] > 0 and census["binaries"] < census["variables"]
 
 
@@ -66,7 +84,32 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
 
 def test_constraint_families_present(default_model):
     prefixes = {c.name.split("_")[0] for c in default_model.constraints}
-    assert {"C1", "C2", "C3", "C4", "C5a", "C5b", "C5c", "C6", "C7", "C8", "C9"} <= prefixes
+    assert prefixes == {"C1", "C2", "C3", "C4", "C5b", "C5c", "C6", "C7", "C8", "C9"}
+
+
+def _families(model):
+    return {"_".join(c.name.split("_")[:2]) for c in model.constraints}
+
+
+def test_formats_doc_lists_the_emitted_families(
+    default_scenario, default_linkset, default_tables
+):
+    text = FORMATS_MD.read_text()
+    paragraph = text[text.index("Constraint families:"):].split("\n\n")[0]
+    documented = set(re.findall(r"`(C\d[a-z]?_[a-z]+)`", paragraph))
+    emitted = set()
+    for setting in ProcessingSetting:
+        s = validate(
+            dataclasses.replace(
+                default_scenario,
+                settings=dataclasses.replace(
+                    default_scenario.settings, processing_setting=setting
+                ),
+            )
+        )
+        for weights in (POWER, JOINT):
+            emitted |= _families(formulate(s, default_linkset, default_tables, weights))
+    assert documented == emitted
 
 
 def test_trim_drops_delay_machinery(default_scenario, default_linkset, default_tables):
@@ -76,14 +119,54 @@ def test_trim_drops_delay_machinery(default_scenario, default_linkset, default_t
     assert not any(n.startswith("z_") or n.startswith("Q_") for n in names)
     prefixes = {c.name.split("_")[0] for c in trimmed.constraints}
     assert "C8" not in prefixes and "C9" not in prefixes
-    # stability survives as a plain linear cap
-    assert any(c.name.startswith("C7_stab_") for c in trimmed.constraints)
+    # stability survives as a plain linear cap on the routing variables
+    loads = [c for c in trimmed.constraints if c.name.startswith("C7_load_")]
+    assert loads and all(all(v.startswith("r_") for v in c.coeffs) for c in loads)
+    assert _families(trimmed) & {"C7_onebin", "C7_qdef"} == set()
 
 
 def test_trim_ignored_with_delay_weight(default_scenario, default_linkset, default_tables):
     full = formulate(default_scenario, default_linkset, default_tables, JOINT)
     assert any(v.name == "T" for v in full.variables)
-    assert not any(c.name.startswith("C7_stab_") for c in full.constraints)
+    # with delay, C7_load bounds the arrival rate by the selected bin
+    loads = [c for c in full.constraints if c.name.startswith("C7_load_")]
+    assert len(loads) == len(default_linkset.links)
+    assert all(any(v.startswith("z_") for v in c.coeffs) for c in loads)
+
+
+def test_route_links_cover_every_simple_path():
+    for seed in range(100):
+        s = random_oracle_instance(seed)
+        ls = linkmodel.build_links(s)
+        (d,) = s.demands
+        for n in sorted(eligible_processors(s) - {d.source}):
+            links = route_links(ls, d.source, n)
+            used = {l for path in _all_simple_paths(ls, d.source, n) for l in path}
+            assert used <= {l.id for l in links}, f"seed {seed}, target {n}"
+            assert not [l.id for l in links if l.rx_node == d.source or l.tx_node == n]
+
+
+def test_route_links_are_per_stream():
+    # A link into demand d1's source stays usable by demand d2's stream.
+    base = small_scenario(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 20, 0), make_vehicle("v3", 40, 0)]
+    )
+    s = validate(
+        dataclasses.replace(
+            base, demands=(DemandSpec("d1", "v1", 400.0), DemandSpec("d2", "v2", 400.0))
+        )
+    )
+    ls = linkmodel.build_links(s)
+    into_v1 = {l.id for l in ls.in_links("v1")}
+    assert into_v1
+    assert not into_v1 & {l.id for l in route_links(ls, "v1", "v3")}
+    assert into_v1 <= {l.id for l in route_links(ls, "v2", "v1")}
+    tb = delaymodel.build_tables(s, ls)
+    model = formulate(s, ls, tb, JOINT)
+    assert model_census(model) == model_census_formula(s, ls, tb)
+    routed = model.metadata["r"]
+    assert not any(("d1", n, l) in routed for n in ("v2", "v3") for l in into_v1)
+    assert all(("d2", "v1", l) in routed for l in into_v1)
 
 
 def test_model_rejects_undeclared_names():

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 from vecop import delaymodel, linkmodel, solver
-from vecop.formulation import make_weights
+from vecop.formulation import evaluate, make_weights
 from vecop.scenario import (
+    DemandSpec,
     ObjectivePreset,
     ObjectiveWeights,
     ProcessingSetting,
@@ -157,14 +158,43 @@ def test_solve_size_guard():
 
 
 def test_solve_matches_evaluator_exactly(default_scenario, default_linkset, default_tables):
-    from vecop.formulation import evaluate
-
     r = solve(default_scenario, default_linkset, default_tables, POWER)
     assert r.status == "optimal"
     check = evaluate(default_scenario, default_linkset, default_tables, r.allocation, POWER)
     assert check.total_power == r.total_power
     assert check.max_delay == r.max_delay
     assert check.objective_value == r.objective_value
+
+
+@pytest.mark.parametrize(
+    "weights,objective",
+    # Optima pinned from the model that gave every link a routing variable.
+    [(POWER, 35.71034280251943), (JOINT, 1.055908561094569)],
+)
+def test_solve_two_demands(weights, objective):
+    # Demands at two sources share e1's processor: each overflows its own
+    # vehicle, so the split is the shared-capacity LP of _split_for.
+    base = small_scenario(
+        [make_vehicle("v1", 5, 5), make_vehicle("v2", 20, 8), make_vehicle("v3", 35, 30),
+         make_vehicle("v4", 12, 33), make_edge("e1", 20, 20)],
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        bins=8,
+    )
+    s = validate(
+        dataclasses.replace(
+            base, demands=(DemandSpec("d1", "v1", 1000.0), DemandSpec("d2", "v3", 1500.0))
+        )
+    )
+    ls, tb = _ctx(s)
+    r = solve(s, ls, tb, weights)
+    assert r.status == "optimal"
+    assert {d: da.serving for d, da in r.allocation.demands.items()} == {
+        "d1": ("e1", "v1"), "d2": ("e1", "v3"),
+    }
+    check = evaluate(s, ls, tb, r.allocation, weights)
+    assert check.objective_value == r.objective_value
+    assert check.total_power == r.total_power and check.max_delay == r.max_delay
+    assert r.objective_value == pytest.approx(objective, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
