@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -77,15 +75,16 @@ def _parse_objective(spec: str):
 
 
 def _resolve_weights(preset, custom, scenario, linkset, tables, limits):
-    """(weights, power-only result, solved for the joint preset only); the
-    weights are None when that result, and so the instance, is infeasible."""
+    """(weights, delay cap, power-only result); the last two come from the
+    joint preset's pre-solves only. The weights are None when the power-only
+    result, and so the instance, is infeasible."""
     if preset == ObjectivePreset.POWER_ONLY:
-        return make_weights(preset), None
+        return make_weights(preset), None, None
     if preset == ObjectivePreset.CUSTOM:
-        return make_weights(preset, custom=custom), None
+        return make_weights(preset, custom=custom), None, None
     power_only = make_weights(ObjectivePreset.POWER_ONLY)
     power = solver.solve(scenario, linkset, tables, power_only, limits)
-    return solver.joint_weights(scenario, linkset, tables, power, limits), power
+    return (*solver.joint_weights(scenario, linkset, tables, power, limits), power)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +147,11 @@ def _cmd_export(args) -> int:
     tables = delaymodel.build_tables(scenario, linkset)
     preset, custom = _parse_objective(args.objective)
     limits = Limits(force=args.force)
-    weights, _ = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
+    weights, delay_cap, _ = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
     if weights is None:
         print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
         return EXIT_INFEASIBLE
-    model = formulate(scenario, linkset, tables, weights)
+    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
     if args.stats:
         census = model_census(model)
         print(json.dumps(census, indent=2, sort_keys=True))
@@ -206,14 +205,14 @@ def _cmd_solve(args) -> int:
     tables = delaymodel.build_tables(scenario, linkset)
     preset, custom = _parse_objective(args.objective)
     limits = Limits(force=args.force)
-    weights, power = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
+    weights, delay_cap, power = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
     if weights is None:
         result = power
     elif power is not None and weights.w_delay == 0.0:
         # At T* = 0 the joint objective is the power-only one.
         result = dataclasses.replace(power, weights=weights)
     else:
-        result = solver.solve(scenario, linkset, tables, weights, limits)
+        result = solver.solve(scenario, linkset, tables, weights, limits, delay_cap=delay_cap)
     _write(_result_document(scenario, result, limits), args.output)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
 
@@ -358,12 +357,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    # HiGHS prints some diagnostics from C straight to file descriptor 1:
-    # point it at stderr while the command runs, then write its output.
+    # The command's stdout output is written once it has finished; HiGHS's
+    # C-level prints go to stderr (solver._stdout_to_stderr).
     out = io.StringIO()
-    sys.stdout.flush()
-    saved = os.dup(1)
-    os.dup2(2, 1)
     try:
         with contextlib.redirect_stdout(out):
             return args.func(args)
@@ -377,9 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        ctypes.CDLL(None).fflush(None)
-        os.dup2(saved, 1)
-        os.close(saved)
         sys.stdout.write(out.getvalue())
 
 

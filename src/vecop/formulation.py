@@ -217,6 +217,7 @@ def formulate(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
+    delay_cap: Optional[float] = None,
 ) -> MilpModel:
     """Assemble variables, constraints and the weighted objective.
 
@@ -240,6 +241,11 @@ def formulate(
     selection, C8, C9) is left out and C7_load is the plain stability cap:
     the delay variables would be unconstrained by the objective there and
     only inflate the search space.
+
+    `delay_cap` (seconds), when given with a delay weight, is a known upper
+    bound on the optimum's max delay: it bounds T and trims every link's
+    bins to those reachable_bins keeps under it, which also shrinks the Q
+    bound and the C8 big-M.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -274,13 +280,13 @@ def formulate(
     # arrival rate.
     z: dict[str, list[str]] = {}
     q_link: dict[str, str] = {}
-    top = reachable_bins(scenario, linkset, tables) if with_delay else {}
+    top = reachable_bins(scenario, linkset, tables, delay_cap) if with_delay else {}
     if with_delay:
         for link in linkset.links:
             table, k_top = tables[link.id], top[link.id]
             z[link.id] = [var(f"z_{link.id}_k{k + 1}", BINARY) for k in range(k_top + 1)]
             q_link[link.id] = var(f"Q_{link.id}", CONTINUOUS, 0.0, table.delays[k_top] / DELAY_UNIT)
-        t_var = var("T", CONTINUOUS, 0.0, None)
+        t_var = var("T", CONTINUOUS, 0.0, None if delay_cap is None else delay_cap / DELAY_UNIT)
 
     x: dict[tuple[str, str], str] = {}
     y: dict[tuple[str, str], str] = {}
@@ -442,11 +448,19 @@ def formulate(
 
 
 def reachable_bins(
-    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    delay_cap: Optional[float] = None,
 ) -> dict[str, int]:
     """Index of the highest queue bin each link can reach: its arrival rate
     is at most every remote stream at once, and at most rho_max * mu (the
-    last bin). Higher bins could only raise the delay."""
+    last bin). Higher bins could only raise the delay.
+
+    Under a `delay_cap` (seconds) a bin is kept only if its delay plus the
+    link's propagation and transmission delay fits under the cap: a link
+    that carries traffic lies on a path at least that slow. Bin 0, where a
+    link without traffic sits, is always kept."""
     eligible = eligible_processors(scenario)
     packet = scenario.settings.packet_size
     streams = sum(
@@ -459,6 +473,10 @@ def reachable_bins(
         bounds = tables[link.id].arrival_bounds
         # The margin keeps a rate on a bin bound, up to float dust, inside.
         top[link.id] = min(len(bounds) - 1, bisect.bisect_left(bounds, streams * (1.0 + 1e-9)))
+        if delay_cap is not None:
+            hop = link.prop_delay + link.tx_delay_per_packet
+            fits = sum(1 for q in tables[link.id].delays if hop + q <= delay_cap)
+            top[link.id] = max(0, min(top[link.id], fits - 1))
     return top
 
 

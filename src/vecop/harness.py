@@ -143,14 +143,15 @@ def _solve_cell(
     """All requested objective rows of one (demand, setting) cell.
 
     The joint preset normalizes by this cell's power-only and delay-only
-    optima, so both pre-solves run here regardless of the preset list order.
+    optima, so both pre-solves run here regardless of the preset list order;
+    the joint solve runs under the delay cap they give.
     """
     variant = _with_demand(scenario, demand_kbps, setting)
     linkset = linkmodel.build_links(variant)
     tables = delaymodel.build_tables(variant, linkset)
 
-    def run(weights):
-        return solver.solve(variant, linkset, tables, weights, limits)
+    def run(weights, delay_cap=None):
+        return solver.solve(variant, linkset, tables, weights, limits, delay_cap=delay_cap)
 
     cache: dict[ObjectivePreset, object] = {}
 
@@ -165,13 +166,13 @@ def _solve_cell(
             result = power_only()
         elif preset == ObjectivePreset.JOINT_EQUAL:
             result = power_only()
-            weights = solver.joint_weights(variant, linkset, tables, result, limits)
+            weights, delay_cap = solver.joint_weights(variant, linkset, tables, result, limits)
             if weights is not None:
                 # At T* = 0 the joint objective is the power-only one.
                 result = (
                     dataclasses.replace(result, weights=weights)
                     if weights.w_delay == 0.0
-                    else run(weights)
+                    else run(weights, delay_cap)
                 )
         else:
             result = run(variant.settings.objective)

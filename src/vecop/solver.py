@@ -14,7 +14,12 @@ checked and scored by formulation.evaluate, lexicographic tie-breaking by
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -60,6 +65,9 @@ CAPACITY_TOL = 1e-9
 OBJECTIVE_PEAK = 1e3
 # Largest instance brute_force enumerates.
 BRUTE_FORCE_MAX_NODES = 6
+# Relative slack on a delay cap, so that the allocation it was taken from
+# stays feasible despite rounding (see joint_weights()).
+CAP_MARGIN = 1e-6
 
 
 class SolverError(ValueError):
@@ -141,10 +149,11 @@ def _split_for(
     loads = {d.id: d.load or 0.0 for d in demands}
     a_ub = [[loads[cd] if cn == n else 0.0 for cd, cn in cols] for n in nodes]
     b_ub = [scenario.node(n).processor.capacity for n in nodes]
-    res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * len(cols), method="highs",
-    )
+    with _stdout_to_stderr():
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=[(0.0, 1.0)] * len(cols), method="highs",
+        )
     if not res.success:
         raise SolverError(f"processing split infeasible: {res.message}")
     out: dict[str, dict[str, float]] = {d.id: {} for d in demands}
@@ -159,6 +168,45 @@ def _split_for(
 # ---------------------------------------------------------------------------
 # MILP bridge
 # ---------------------------------------------------------------------------
+
+# File descriptor 1 is process-wide, and so is the count of its users.
+_redirect_lock = threading.Lock()
+_redirect_users = 0
+_saved_stdout_fd = -1
+
+
+def _flush_c_stdio() -> None:
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    fflush(None)
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr while HiGHS runs.
+
+    HiGHS prints some diagnostics from C straight to fd 1, where they would
+    corrupt a caller's stdout (a JSON document, a CSV). Reference-counted, so
+    that solves running at once on pool threads share one redirect.
+    """
+    global _redirect_users, _saved_stdout_fd
+    with _redirect_lock:
+        if _redirect_users == 0:
+            sys.stdout.flush()
+            _flush_c_stdio()
+            _saved_stdout_fd = os.dup(1)
+            os.dup2(2, 1)
+        _redirect_users += 1
+    try:
+        yield
+    finally:
+        with _redirect_lock:
+            _redirect_users -= 1
+            if _redirect_users == 0:
+                _flush_c_stdio()
+                os.dup2(_saved_stdout_fd, 1)
+                os.close(_saved_stdout_fd)
+
 
 def _to_arrays(model: MilpModel):
     names = [v.name for v in model.variables]
@@ -260,9 +308,16 @@ def solve(
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
     limits: Limits = Limits(),
+    delay_cap: Optional[float] = None,
 ) -> SolveResult:
     """Provably optimal allocation, or an infeasibility report naming the
-    binding constraint family."""
+    binding constraint family.
+
+    `delay_cap` (seconds) is a max delay that a known feasible allocation
+    meets and the optimum cannot exceed (formulate() bounds the model by
+    it); a solve that finds no allocation under it raises SolverError.
+    Any HiGHS exit other than optimal or infeasible raises SolverError.
+    """
     start = time.perf_counter()
     if len(scenario.nodes) > limits.max_nodes and not limits.force:
         raise InstanceTooLarge(
@@ -287,7 +342,7 @@ def solve(
                 ),
             )
 
-    model = formulate(scenario, linkset, tables, weights)
+    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
     names, c, integrality, bounds, constraint = _to_arrays(model)
     # HiGHS prunes nodes within 1e-6 objective units of the incumbent. A
     # delay-weighted objective (joint about 1, delay-only about 3e-4) would
@@ -296,22 +351,30 @@ def solve(
     peak = np.abs(c).max(initial=0.0)
     if weights.w_delay != 0.0 and 0.0 < peak < OBJECTIVE_PEAK:
         c = c * (OBJECTIVE_PEAK / peak)
-    res = milp(
-        c,
-        constraints=constraint,
-        bounds=bounds,
-        integrality=integrality,
-        options={"mip_rel_gap": 0.0, "presolve": True},
-    )
+    with _stdout_to_stderr():
+        res = milp(
+            c,
+            constraints=constraint,
+            bounds=bounds,
+            integrality=integrality,
+            options={"mip_rel_gap": 0.0, "presolve": True},
+        )
     wall = time.perf_counter() - start
     stats = SolverStats(nodes_explored=int(getattr(res, "mip_node_count", 0) or 0), wall_time=wall)
-    if res.status == 2 or not res.success:
+    if res.status == 2:
+        if delay_cap is not None:
+            raise SolverError(
+                f"no allocation under the delay cap {delay_cap!r} s, which a feasible "
+                "allocation meets: the cap is wrong"
+            )
         return SolveResult(
             status="infeasible",
             weights=weights,
             stats=stats,
             infeasible_reason="C4/C5/C7: no feasible routing to any sufficient serving set",
         )
+    if not res.success:
+        raise SolverError(f"HiGHS stopped without an optimum: status {res.status}: {res.message}")
     allocation = _decode(scenario, linkset, model, names, res.x)
     return replace(evaluate(scenario, linkset, tables, allocation, weights), stats=stats)
 
@@ -322,24 +385,37 @@ def joint_weights(
     tables: dict[str, DelayTable],
     power: SolveResult,
     limits: Limits = Limits(),
-) -> Optional[ObjectiveWeights]:
-    """JOINT_EQUAL weights for an instance whose power-only result is `power`.
+) -> tuple[Optional[ObjectiveWeights], Optional[float]]:
+    """JOINT_EQUAL weights for an instance whose power-only result is
+    `power`, and a cap on the joint optimum's max delay to solve them under.
 
-    Normalizes by P* = power.total_power and by T* from a delay-only solve.
+    Normalizes by P* = power.total_power and by T* from a delay-only solve,
+    which runs under the power-only allocation's delay T_p: T* is no worse.
+    The joint optimum o scores no worse than either reference allocation r,
+    w_power P_o + w_delay T_o <= w_power P_r + w_delay T_r, and P_o >= P*, so
+    T_o <= T_r + w_power (P_r - P*) / w_delay: T_p for the power-only
+    allocation, T* + w_power (P_d - P*) / w_delay for the delay-only one of
+    power P_d. Both caps carry a relative CAP_MARGIN.
+
     When T* is zero (local processing) the joint objective degenerates to
-    power-only, returned tagged JOINT_EQUAL: the joint result is then `power`
-    itself. None when `power` is not optimal: the instance is then
-    infeasible under any weights.
+    power-only, returned tagged JOINT_EQUAL with no cap: the joint result is
+    then `power` itself. (None, None) when `power` is not optimal: the
+    instance is then infeasible under any weights.
     """
     if power.status != "optimal":
-        return None
+        return None, None
+    t_power = power.max_delay
     delay = solve(
-        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)), limits
+        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)),
+        limits, delay_cap=t_power * (1.0 + CAP_MARGIN),
     )
-    t_star = delay.max_delay if delay.status == "optimal" else 0.0
-    if t_star > 0.0:
-        return make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
-    return replace(make_weights(ObjectivePreset.POWER_ONLY), preset=ObjectivePreset.JOINT_EQUAL)
+    t_star = delay.max_delay
+    if t_star == 0.0:
+        weights = make_weights(ObjectivePreset.POWER_ONLY)
+        return replace(weights, preset=ObjectivePreset.JOINT_EQUAL), None
+    weights = make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
+    via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
+    return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN)
 
 
 # ---------------------------------------------------------------------------

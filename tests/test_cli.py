@@ -16,7 +16,8 @@ from vecop.cli import (
     EXIT_VALIDATION,
     main,
 )
-from vecop.lp_io import read_lp
+from vecop.formulation import model_census
+from vecop.lp_io import export_lp, read_lp
 from vecop.scenario import ObjectivePreset, ProcessingSetting, emit_scenario, parse_scenario
 
 from conftest import make_vehicle, random_oracle_instance, small_scenario
@@ -152,6 +153,34 @@ def test_solve_joint_matches_sweep_cell(tmp_path):
         "preset": "JOINT_EQUAL", "w_power": row.w_power, "w_delay": row.w_delay
     }
     assert doc["objective_value"] == row.objective_value
+
+
+def test_export_joint_writes_the_model_solve_solves(tmp_path, capsys, monkeypatch):
+    # 1000 kbps overloads v1 (800 MIPS): T* > 0, so the joint model is
+    # solved under the pre-solves' delay cap.
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
+    )
+    p = tmp_path / "split.json"
+    p.write_text(emit_scenario(s))
+    models = []
+    formulate = solver.formulate
+
+    def seen(*args, **kwargs):
+        models.append(formulate(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(solver, "formulate", seen)
+    argv = ["--scenario", str(p), "--objective", "joint"]
+    assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
+    solved = models[-1]
+    assert next(v for v in solved.variables if v.name == "T").upper is not None
+    capsys.readouterr()
+    assert main(["export", *argv, "--stats"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == model_census(solved)
+    lp = tmp_path / "joint.lp"
+    assert main(["export", *argv, "-o", str(lp)]) == EXIT_OK
+    assert lp.read_text() == export_lp(solved)
 
 
 def test_solve_joint_solves_no_model_twice(

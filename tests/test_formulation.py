@@ -3,9 +3,11 @@ import re
 from pathlib import Path
 
 import pytest
+from scipy.optimize import milp
 
 from vecop import delaymodel, linkmodel
 from vecop.formulation import (
+    DELAY_UNIT,
     Allocation,
     AllocationError,
     Constraint,
@@ -30,7 +32,7 @@ from vecop.scenario import (
     eligible_processors,
     validate,
 )
-from vecop.solver import _all_simple_paths
+from vecop.solver import _all_simple_paths, _to_arrays
 
 from conftest import make_edge, make_vehicle, random_oracle_instance, small_scenario
 
@@ -80,6 +82,66 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
         peak = min(9 * pps, link.capacity / (8.0 * 1500.0), table.arrival_bounds[-1])
         assert delaymodel.lookup(table, peak) == table.delays[k]
         assert f"z_{link.id}_k{k + 1}" in kept and f"z_{link.id}_k{k + 2}" not in kept
+
+
+def test_delay_cap_none_is_the_uncapped_model(
+    default_model, default_scenario, default_linkset, default_tables
+):
+    capped = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=None)
+    assert capped == default_model
+    assert next(v for v in capped.variables if v.name == "T").upper is None
+
+
+def _big_ms(model, link_id):
+    """The r coefficients (big-Ms) of the link's C8 rows."""
+    gates = [
+        c for c in model.constraints
+        if c.name.startswith("C8_gate_") and c.name.endswith(f"_{link_id}")
+    ]
+    return [coef for c in gates for v, coef in c.coeffs.items() if v.startswith("r_")]
+
+
+def test_delay_cap_bounds_t_and_trims_bins(default_scenario, default_linkset, default_tables):
+    cap = 1e-3
+    model = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap)
+    variables = {v.name: v for v in model.variables}
+    assert variables["T"].upper == cap / DELAY_UNIT
+    uncapped = reachable_bins(default_scenario, default_linkset, default_tables)
+    partly = gated = 0
+    for link in default_linkset.links:
+        delays = default_tables[link.id].delays[: uncapped[link.id] + 1]
+        fits = [
+            k for k, q in enumerate(delays)
+            if link.prop_delay + link.tx_delay_per_packet + q <= cap
+        ]
+        kept = sorted(int(n.rsplit("_k", 1)[1]) - 1 for n in variables
+                      if n.startswith(f"z_{link.id}_k"))
+        assert kept == sorted(set(fits) | {0}), link.id
+        partly += 0 < len(fits) < len(delays)
+        top = delays[kept[-1]] / DELAY_UNIT
+        assert variables[f"Q_{link.id}"].upper == top
+        big_ms = _big_ms(model, link.id)
+        assert all(m == top for m in big_ms), link.id
+        gated += bool(big_ms)
+    # The cap trims some links to bin 0 and others only partly.
+    assert partly > 0 and gated > 0
+    assert any(not any(n.startswith(f"z_{l.id}_k2") for n in variables)
+               for l in default_linkset.links)
+
+
+def test_delay_cap_zero_leaves_only_local_processing():
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
+    )
+    model = formulate(s, ls, tb, JOINT, delay_cap=0.0)
+    # Serve v2 if the model lets it: maximize y_d1_v2.
+    names, _c, integrality, bounds, constraint = _to_arrays(model)
+    c = [-1.0 if n == "y_d1_v2" else 0.0 for n in names]
+    res = milp(c, constraints=constraint, bounds=bounds, integrality=integrality)
+    assert res.status == 0
+    value = dict(zip(names, res.x))
+    assert value["y_d1_v2"] < 0.5 and value["y_d1_v1"] > 0.5
+    assert all(value[rv] < 0.5 for rv in model.metadata["r"].values())
 
 
 def test_constraint_families_present(default_model):

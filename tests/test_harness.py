@@ -1,5 +1,6 @@
 import pytest
 
+from vecop import solver
 from vecop.harness import (
     CSV_COLUMNS,
     HarnessError,
@@ -167,3 +168,21 @@ def test_sweep_records_infeasible_rows():
     assert bad.infeasible_reason.startswith("C3")
     csv = table_to_csv(table)
     assert "infeasible" in csv
+
+
+def test_sweep_raises_when_a_capped_joint_solve_is_infeasible(monkeypatch):
+    # The delay cap comes from allocations the joint model admits, so a
+    # capped joint solve that finds none is a fault, not an infeasible cell.
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
+    )
+    joint_weights = solver.joint_weights
+
+    def wrong_cap(*args, **kwargs):
+        weights, _ = joint_weights(*args, **kwargs)
+        return weights, 0.0
+
+    monkeypatch.setattr(solver, "joint_weights", wrong_cap)
+    with pytest.raises(solver.SolverError, match="delay cap"):
+        sweep(s, demands=(1000.0,), settings=(VO,), presets=(PO, JE))
+

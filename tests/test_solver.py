@@ -1,4 +1,8 @@
+import ctypes
 import dataclasses
+import os
+import sys
+import threading
 
 import pytest
 
@@ -211,7 +215,7 @@ def test_joint_weights_none_when_power_infeasible(monkeypatch):
         raise AssertionError("no delay pre-solve for an infeasible instance")
 
     monkeypatch.setattr(solver, "solve", no_solve)
-    assert joint_weights(s, ls, tb, power) is None
+    assert joint_weights(s, ls, tb, power) == (None, None)
 
 
 def test_joint_weights_power_only_when_delay_optimum_is_zero():
@@ -220,8 +224,9 @@ def test_joint_weights_power_only_when_delay_optimum_is_zero():
         [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
     )
     ls, tb = _ctx(s)
-    w = joint_weights(s, ls, tb, solve(s, ls, tb, POWER))
+    w, cap = joint_weights(s, ls, tb, solve(s, ls, tb, POWER))
     assert (w.w_power, w.w_delay, w.preset) == (1.0, 0.0, ObjectivePreset.JOINT_EQUAL)
+    assert cap is None
 
 
 def test_joint_weights_normalize_by_both_optima(monkeypatch):
@@ -232,17 +237,119 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append((args[3], kwargs["delay_cap"]))
         return solve(*args, **kwargs)
 
     # The delay pre-solve goes through the module attribute, so wrappers
     # installed on solver.solve observe it.
     monkeypatch.setattr(solver, "solve", counted)
-    w = joint_weights(s, ls, tb, power)
-    assert [c.w_delay for c in calls] == [1.0]
+    w, cap = joint_weights(s, ls, tb, power)
+    assert power.max_delay > 0.0
+    assert [(c.w_delay, pre_cap) for c, pre_cap in calls] == [
+        (1.0, power.max_delay * (1.0 + solver.CAP_MARGIN))
+    ]
     assert w == make_weights(
         ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, delay.max_delay)
     )
+    via_delay = delay.max_delay * delay.total_power / power.total_power
+    assert cap == pytest.approx(
+        min(power.max_delay, via_delay) * (1.0 + solver.CAP_MARGIN), rel=1e-12
+    )
+
+
+def test_joint_weights_capped_path_matches_oracle():
+    # Every oracle seed with T* > 0: the capped delay pre-solve finds T* and
+    # the capped joint solve the joint optimum that brute_force finds.
+    delay_only = make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
+    checked = 0
+    for seed in range(100):
+        s = random_oracle_instance(seed)
+        ls, tb = _ctx(s)
+        power = solve(s, ls, tb, POWER)
+        w, cap = joint_weights(s, ls, tb, power)
+        if w is None or w.w_delay == 0.0:
+            continue
+        checked += 1
+        assert 0.5 / w.w_delay == pytest.approx(
+            brute_force(s, ls, tb, delay_only).max_delay, rel=1e-9
+        ), f"seed {seed}"
+        joint = solve(s, ls, tb, w, delay_cap=cap)
+        assert joint.status == "optimal"
+        assert joint.max_delay <= cap
+        assert joint.objective_value == pytest.approx(
+            brute_force(s, ls, tb, w).objective_value, rel=1e-9
+        ), f"seed {seed}"
+    assert checked > 0
+
+
+def test_solve_raises_when_the_cap_cuts_off_every_allocation():
+    # 1000 kbps overloads v1, so every allocation ships a stream to v2.
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    with pytest.raises(SolverError, match="delay cap"):
+        solve(s, ls, tb, JOINT, delay_cap=0.0)
+
+
+def test_solve_raises_on_a_non_optimal_highs_exit(monkeypatch):
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    real = solver.milp
+
+    def time_limit(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.success, res.message = 1, False, "Time limit reached."
+        return res
+
+    monkeypatch.setattr(solver, "milp", time_limit)
+    with pytest.raises(SolverError, match="status 1: Time limit reached"):
+        solve(s, ls, tb, POWER)
+
+
+def test_solve_keeps_highs_prints_off_stdout(monkeypatch, capfd):
+    # HiGHS can print from C to file descriptor 1 during a solve; a Python
+    # caller's stdout must not receive it.
+    real = solver.milp
+
+    def noisy(*args, **kwargs):
+        ctypes.CDLL(None).printf(b"C-LEVEL DIAGNOSTIC\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "milp", noisy)
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    assert solve(s, ls, tb, JOINT).status == "optimal"
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "C-LEVEL DIAGNOSTIC" in captured.err
+
+
+def test_stdout_redirect_is_shared_by_threads(capfd):
+    # More threads than cores enter and leave the redirect at once: inside
+    # it fd 1 is always stderr, and the last one out restores it.
+    stderr = os.fstat(2)
+    wrong = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with solver._stdout_to_stderr():
+                inside = os.fstat(1)
+                if (inside.st_dev, inside.st_ino) != (stderr.st_dev, stderr.st_ino):
+                    wrong.append(inside)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and solver._redirect_users == 0
+    os.write(1, b"after\n")
+    assert capfd.readouterr().out == "after\n"
 
 
 # ---------------------------------------------------------------------------
