@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate | gen | links | table | export | solve | sweep | report.
-Exit codes: 0 ok, 1 usage, 2 validation error, 3 infeasible, 4 limits.
+Exit codes: 0 ok, 1 usage, 2 validation error, 3 infeasible, 4 limits (an
+instance over the size limit, or HiGHS stopped without an optimum).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .scenario import (
     parse_scenario,
     validate,
 )
-from .solver import InstanceTooLarge, Limits
+from .solver import InstanceTooLarge, Limits, SolverStopped
 
 __all__ = ["main"]
 
@@ -363,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with contextlib.redirect_stdout(out):
             return args.func(args)
-    except InstanceTooLarge as e:
+    except (InstanceTooLarge, SolverStopped) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMITS
     except (ScenarioError, harness.HarnessError, lp_io.LpParseError, ValueError) as e:

@@ -225,7 +225,9 @@ def formulate(
       C1 demand completion, C2 linking, C3 processing capacity,
       C4 per-target unsplittable routing (flow conservation + simple path),
       C5b shared AP cell budget, C5c per-interface aggregate budget,
-      C6 traffic-driven activation, C7 queue stability and bin selection,
+      C6 traffic-driven activation (one row per stream, side and device:
+      the stream's route links out of, or into, the device sum to at most
+      its activation), C7 queue stability and bin selection,
       C8 queue-on-path gating, C9 max-delay epigraph.
 
     Each (demand, remote target) stream gets routing variables only on its
@@ -363,12 +365,19 @@ def formulate(
         if dev in specs:
             budget(f"C5c_iface_{_nm(dev)}", touching[dev], specs[dev].capacity)
 
-    # C6: carrying traffic activates both endpoint devices.
-    for (_d, _n, l_id), rv in r.items():
-        link = linkset.link(l_id)
-        for dev in (link.tx_device, link.rx_device):
-            if dev in a:
-                con(f"C6_act_{rv}_{_nm(dev)}", {rv: 1.0, a[dev]: -1.0}, "<=", 0.0)
+    # C6: carrying traffic activates both endpoint devices. A device sits on
+    # one node, which C4 lets a stream leave and enter at most once, so one
+    # row per (stream, side, device) sums the stream's links through it.
+    for (d, n), links in routes.items():
+        for side in ("tx", "rx"):
+            act: dict[str, dict[str, float]] = {}
+            for link in links:
+                dev = link.tx_device if side == "tx" else link.rx_device
+                if dev in a:
+                    act.setdefault(dev, {})[r[d.id, n, link.id]] = 1.0
+            for dev, coeffs in act.items():
+                coeffs[a[dev]] = -1.0
+                con(f"C6_act_{_nm(d.id)}_{_nm(n)}_{side}_{_nm(dev)}", coeffs, "<=", 0.0)
 
     # C7: the arrival rate stays under rho_max * mu, and with delay it is
     # covered by the one selected bin whose delay Q carries.
@@ -534,7 +543,11 @@ def model_census_formula(
         )
         + cells  # C5b
         + len(ifaces)  # C5c
-        + sum((l.tx_device in specs) + (l.rx_device in specs) for l in arcs)  # C6
+        + sum(  # C6, per stream, side and device
+            len({l.tx_device for l in links} & specs.keys())
+            + len({l.rx_device for l in links} & specs.keys())
+            for _s, _n, links in routes
+        )
         + 3 * link_count  # C7
         + len(arcs)  # C8
         + len(routes)  # C9

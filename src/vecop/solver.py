@@ -54,6 +54,7 @@ __all__ = [
     "Limits",
     "SolverError",
     "InstanceTooLarge",
+    "SolverStopped",
     "solve",
     "joint_weights",
     "greedy_split",
@@ -76,6 +77,11 @@ class SolverError(ValueError):
 
 class InstanceTooLarge(SolverError):
     pass
+
+
+class SolverStopped(SolverError):
+    """HiGHS stopped with neither an optimum nor a proof of infeasibility
+    (a time or iteration limit, or another non-success exit)."""
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,7 @@ def solve(
     `delay_cap` (seconds) is a max delay that a known feasible allocation
     meets and the optimum cannot exceed (formulate() bounds the model by
     it); a solve that finds no allocation under it raises SolverError.
-    Any HiGHS exit other than optimal or infeasible raises SolverError.
+    Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
     if len(scenario.nodes) > limits.max_nodes and not limits.force:
@@ -344,12 +350,12 @@ def solve(
 
     model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
     names, c, integrality, bounds, constraint = _to_arrays(model)
-    # HiGHS prunes nodes within 1e-6 objective units of the incumbent. A
-    # delay-weighted objective (joint about 1, delay-only about 3e-4) would
-    # lose better allocations, so its costs are scaled up to OBJECTIVE_PEAK;
-    # the reported numbers come from evaluate().
+    # HiGHS prunes nodes within 1e-6 objective units of the incumbent. Any
+    # objective (power-only tens of watts, joint about 1, delay-only about
+    # 3e-4) would lose better allocations within that gap, so its costs are
+    # scaled up to OBJECTIVE_PEAK; the reported numbers come from evaluate().
     peak = np.abs(c).max(initial=0.0)
-    if weights.w_delay != 0.0 and 0.0 < peak < OBJECTIVE_PEAK:
+    if 0.0 < peak < OBJECTIVE_PEAK:
         c = c * (OBJECTIVE_PEAK / peak)
     with _stdout_to_stderr():
         res = milp(
@@ -374,7 +380,7 @@ def solve(
             infeasible_reason="C4/C5/C7: no feasible routing to any sufficient serving set",
         )
     if not res.success:
-        raise SolverError(f"HiGHS stopped without an optimum: status {res.status}: {res.message}")
+        raise SolverStopped(f"HiGHS stopped without an optimum: status {res.status}: {res.message}")
     allocation = _decode(scenario, linkset, model, names, res.x)
     return replace(evaluate(scenario, linkset, tables, allocation, weights), stats=stats)
 
@@ -399,20 +405,25 @@ def joint_weights(
 
     When T* is zero (local processing) the joint objective degenerates to
     power-only, returned tagged JOINT_EQUAL with no cap: the joint result is
-    then `power` itself. (None, None) when `power` is not optimal: the
-    instance is then infeasible under any weights.
+    then `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
+    (None, None) when `power` is not optimal: the instance is then
+    infeasible under any weights.
     """
     if power.status != "optimal":
         return None, None
+    power_only = replace(
+        make_weights(ObjectivePreset.POWER_ONLY), preset=ObjectivePreset.JOINT_EQUAL
+    )
     t_power = power.max_delay
+    if t_power == 0.0:
+        return power_only, None
     delay = solve(
         scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)),
         limits, delay_cap=t_power * (1.0 + CAP_MARGIN),
     )
     t_star = delay.max_delay
     if t_star == 0.0:
-        weights = make_weights(ObjectivePreset.POWER_ONLY)
-        return replace(weights, preset=ObjectivePreset.JOINT_EQUAL), None
+        return power_only, None
     weights = make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
     return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -75,6 +76,22 @@ def small_scenario(
             nodes=tuple(nodes),
             demands=(DemandSpec(id="d1", source="v1", traffic=traffic),),
             settings=Settings(processing_setting=setting, **settings_kw),
+        )
+    )
+
+
+def two_demand_scenario() -> Scenario:
+    """Demands at v1 and v3 that each overflow their own vehicle and share
+    e1's processor."""
+    base = small_scenario(
+        [make_vehicle("v1", 5, 5), make_vehicle("v2", 20, 8), make_vehicle("v3", 35, 30),
+         make_vehicle("v4", 12, 33), make_edge("e1", 20, 20)],
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        bins=8,
+    )
+    return validate(
+        dataclasses.replace(
+            base, demands=(DemandSpec("d1", "v1", 1000.0), DemandSpec("d2", "v3", 1500.0))
         )
     )
 

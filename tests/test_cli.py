@@ -195,11 +195,11 @@ def test_solve_joint_solves_no_model_twice(
 
     monkeypatch.setattr(solver, "solve", counted)
     out = tmp_path / "result.json"
-    # 400 kbps stays on the source vehicle: T* = 0, so the joint result is
-    # the power-only one.
+    # 400 kbps stays on the source vehicle: T_p = 0, so T* = 0 needs no
+    # delay-only solve and the joint result is the power-only one.
     argv = ["solve", "--scenario", tiny_scenario_path, "--objective", "joint", "-o", str(out)]
     assert main(argv) == EXIT_OK
-    assert calls == [(1.0, 0.0), (0.0, 1.0)]
+    assert calls == [(1.0, 0.0)]
     doc = json.loads(out.read_text())
     assert doc["weights"] == {"preset": "JOINT_EQUAL", "w_power": 1.0, "w_delay": 0.0}
     calls.clear()
@@ -286,6 +286,25 @@ def test_solve_limits_exit(tmp_path):
     p.write_text(emit_scenario(s))
     assert main(["solve", "--scenario", str(p)]) == EXIT_LIMITS
     assert main(["solve", "--scenario", str(p), "--force", "-o", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+def test_solve_exits_with_limits_when_highs_stops(tmp_path, monkeypatch, capsys):
+    # 1000 kbps overloads v1 (800 MIPS), so HiGHS has a model to solve.
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
+    )
+    p = tmp_path / "split.json"
+    p.write_text(emit_scenario(s))
+    real = solver.milp
+
+    def time_limit(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.success, res.message = 1, False, "Time limit reached."
+        return res
+
+    monkeypatch.setattr(solver, "milp", time_limit)
+    assert main(["solve", "--scenario", str(p)]) == EXIT_LIMITS
+    assert "status 1: Time limit reached" in capsys.readouterr().err
 
 
 def test_sweep_csv_and_plotdata(tiny_scenario_path, tmp_path):

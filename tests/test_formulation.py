@@ -15,6 +15,7 @@ from vecop.formulation import (
     FormulationError,
     MilpModel,
     Variable,
+    _nm,
     evaluate,
     formulate,
     make_weights,
@@ -34,7 +35,13 @@ from vecop.scenario import (
 )
 from vecop.solver import _all_simple_paths, _to_arrays
 
-from conftest import make_edge, make_vehicle, random_oracle_instance, small_scenario
+from conftest import (
+    make_edge,
+    make_vehicle,
+    random_oracle_instance,
+    small_scenario,
+    two_demand_scenario,
+)
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -229,6 +236,48 @@ def test_route_links_are_per_stream():
     routed = model.metadata["r"]
     assert not any(("d1", n, l) in routed for n in ("v2", "v3") for l in into_v1)
     assert all(("d2", "v1", l) in routed for l in into_v1)
+
+
+def _check_activation_rows(ls, model):
+    """Each C6_act row sums one stream's route links out of (tx) or into
+    (rx) one node, and holds each (r, endpoint device) pair exactly once."""
+    stream_of = {rv: (d_id, n) for (d_id, n, _l), rv in model.metadata["r"].items()}
+    link_of = {rv: ls.link(l_id) for (_d, _n, l_id), rv in model.metadata["r"].items()}
+    declared = {v.name for v in model.variables}
+    rows = [c for c in model.constraints if c.name.startswith("C6_act_")]
+    held: dict[tuple[str, str], int] = {}
+    for c in rows:
+        assert (c.sense, c.rhs) == ("<=", 0.0)
+        acts = [v for v, coef in c.coeffs.items() if v.startswith("a_") and coef == -1.0]
+        routed = [v for v, coef in c.coeffs.items() if v.startswith("r_") and coef == 1.0]
+        assert len(acts) == 1 and routed and len(acts) + len(routed) == len(c.coeffs), c.name
+        (d_id, n), = {stream_of[rv] for rv in routed}
+        side = c.name[len(f"C6_act_{d_id}_{n}_"):].split("_")[0]
+        node = {"tx": "tx_node", "rx": "rx_node"}[side]
+        assert len({getattr(link_of[rv], node) for rv in routed}) == 1, c.name
+        for rv in routed:
+            held[rv, acts[0]] = held.get((rv, acts[0]), 0) + 1
+    pairs = [
+        (rv, f"a_{_nm(dev)}")
+        for rv, link in link_of.items()
+        for dev in (link.tx_device, link.rx_device)
+        if f"a_{_nm(dev)}" in declared
+    ]
+    assert pairs and sorted(held) == sorted(pairs)
+    assert set(held.values()) == {1}
+    return rows
+
+
+def test_activation_rows_aggregate_per_stream_side_and_device(default_model, default_linkset):
+    rows = _check_activation_rows(default_linkset, default_model)
+    # Fewer rows than (r, endpoint device) pairs: the aggregation bites.
+    pairs = sum(len(c.coeffs) - 1 for c in rows)
+    assert len(rows) < pairs
+    s = two_demand_scenario()
+    ls = linkmodel.build_links(s)
+    tb = delaymodel.build_tables(s, ls)
+    for weights in (POWER, JOINT):
+        _check_activation_rows(ls, formulate(s, ls, tb, weights))
 
 
 def test_model_rejects_undeclared_names():

@@ -4,12 +4,12 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from vecop import delaymodel, linkmodel, solver
 from vecop.formulation import evaluate, make_weights
 from vecop.scenario import (
-    DemandSpec,
     ObjectivePreset,
     ObjectiveWeights,
     ProcessingSetting,
@@ -19,13 +19,20 @@ from vecop.solver import (
     InstanceTooLarge,
     Limits,
     SolverError,
+    SolverStopped,
     brute_force,
     greedy_split,
     joint_weights,
     solve,
 )
 
-from conftest import make_edge, make_vehicle, random_oracle_instance, small_scenario
+from conftest import (
+    make_edge,
+    make_vehicle,
+    random_oracle_instance,
+    small_scenario,
+    two_demand_scenario,
+)
 
 POWER = make_weights(ObjectivePreset.POWER_ONLY)
 JOINT = ObjectiveWeights(0.02, 2000.0, ObjectivePreset.CUSTOM)
@@ -178,17 +185,7 @@ def test_solve_matches_evaluator_exactly(default_scenario, default_linkset, defa
 def test_solve_two_demands(weights, objective):
     # Demands at two sources share e1's processor: each overflows its own
     # vehicle, so the split is the shared-capacity LP of _split_for.
-    base = small_scenario(
-        [make_vehicle("v1", 5, 5), make_vehicle("v2", 20, 8), make_vehicle("v3", 35, 30),
-         make_vehicle("v4", 12, 33), make_edge("e1", 20, 20)],
-        setting=ProcessingSetting.VEHICLES_AND_EDGE,
-        bins=8,
-    )
-    s = validate(
-        dataclasses.replace(
-            base, demands=(DemandSpec("d1", "v1", 1000.0), DemandSpec("d2", "v3", 1500.0))
-        )
-    )
+    s = two_demand_scenario()
     ls, tb = _ctx(s)
     r = solve(s, ls, tb, weights)
     assert r.status == "optimal"
@@ -301,8 +298,25 @@ def test_solve_raises_on_a_non_optimal_highs_exit(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "milp", time_limit)
-    with pytest.raises(SolverError, match="status 1: Time limit reached"):
+    with pytest.raises(SolverStopped, match="status 1: Time limit reached"):
         solve(s, ls, tb, POWER)
+
+
+def test_solve_scales_a_power_only_objective_to_the_peak(monkeypatch):
+    # A power-only objective of tens of watts reaches HiGHS scaled up like
+    # any other, so its 1e-6 pruning gap is 1e-6 of OBJECTIVE_PEAK.
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    real = solver.milp
+    peaks = []
+
+    def seen(c, *args, **kwargs):
+        peaks.append(np.abs(c).max())
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "milp", seen)
+    assert solve(s, ls, tb, POWER).status == "optimal"
+    assert peaks == [pytest.approx(solver.OBJECTIVE_PEAK, rel=1e-12)]
 
 
 def test_solve_keeps_highs_prints_off_stdout(monkeypatch, capfd):
