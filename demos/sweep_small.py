@@ -1,8 +1,8 @@
 """Run a reduced demand sweep (three demand sizes, all settings, both
 objectives) and print the sweep CSV plus the four comparison metrics.
 
-The full six-point sweep takes about 35 seconds on one thread; this reduced
-one finishes in about 8 seconds on a 2-core machine.
+The full six-point sweep takes about 20 seconds on one thread; this reduced
+one finishes in about 6 seconds on a 2-core machine.
 Run:  python3 demos/sweep_small.py
 """
 

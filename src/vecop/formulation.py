@@ -14,6 +14,8 @@ The evaluator recomputes constraints, power and delay from first principles
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +43,7 @@ __all__ = [
     "FormulationError",
     "formulate",
     "route_links",
+    "stream_links",
     "evaluate",
     "make_weights",
     "model_census",
@@ -212,6 +215,84 @@ def route_links(linkset: LinkSet, source: str, target: str) -> list[Link]:
     ]
 
 
+def _pps(demand: DemandSpec, scenario: Scenario) -> float:
+    """Packet arrival rate of one stream of `demand`."""
+    return delaymodel.packets_per_second(demand.traffic * 1000.0, scenario.settings.packet_size)
+
+
+def _floor_distances(
+    links: list[Link], weight: dict[str, float], start: str, into: bool
+) -> dict[str, float]:
+    """Dijkstra over `links`: the least total weight from `start` to every
+    node it reaches, or, with `into`, from every node that reaches `start`."""
+    adjacent: dict[str, list[tuple[str, float]]] = {}
+    for link in links:
+        u, v = (link.rx_node, link.tx_node) if into else (link.tx_node, link.rx_node)
+        adjacent.setdefault(u, []).append((v, weight[link.id]))
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adjacent.get(u, ()):
+            if du + w < dist.get(v, math.inf):
+                dist[v] = du + w
+                heapq.heappush(heap, (du + w, v))
+    return dist
+
+
+def stream_links(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    delay_cap: Optional[float] = None,
+) -> dict[tuple[DemandSpec, str], list[Link]]:
+    """Links each (demand, remote target) stream may use, in link set order.
+
+    Starts from the stream's route_links and drops every link whose
+    rho_max * mu is below the stream's own packet rate (C7_load forbids it).
+    Under a `delay_cap` (seconds) it also drops every link l for which
+    fwd(l.tx) + w_l + bwd(l.rx) exceeds the cap: w_l is the link's floor
+    delay, propagation plus transmission plus the queue delay at the
+    stream's own rate (a link that carries it has at least that rate), and
+    fwd/bwd are the least floor delays from the source and into the target.
+    No path through such a link fits under the cap, and C9 holds every
+    served path's delay under T, which the cap bounds.
+    """
+    eligible = sorted(eligible_processors(scenario))
+    streams: dict[tuple[DemandSpec, str], list[Link]] = {}
+    for d in scenario.demands:
+        pps = _pps(d, scenario)
+        for n in eligible:
+            if n == d.source:
+                continue
+            # The margin keeps a rate on the rho_max cap, up to float dust, in.
+            links = [
+                link
+                for link in route_links(linkset, d.source, n)
+                if pps <= tables[link.id].arrival_bounds[-1] * (1.0 + 1e-9)
+            ]
+            if delay_cap is not None:
+                weight = {
+                    link.id: link.prop_delay
+                    + link.tx_delay_per_packet
+                    + delaymodel.lookup(tables[link.id], pps)
+                    for link in links
+                }
+                fwd = _floor_distances(links, weight, d.source, into=False)
+                bwd = _floor_distances(links, weight, n, into=True)
+                links = [
+                    link
+                    for link in links
+                    if fwd.get(link.tx_node, math.inf) + weight[link.id]
+                    + bwd.get(link.rx_node, math.inf)
+                    <= delay_cap * (1.0 + 1e-9)
+                ]
+            streams[d, n] = links
+    return streams
+
+
 def formulate(
     scenario: Scenario,
     linkset: LinkSet,
@@ -231,7 +312,7 @@ def formulate(
       C8 queue-on-path gating, C9 max-delay epigraph.
 
     Each (demand, remote target) stream gets routing variables only on its
-    route_links. C7_load caps every link's arrival rate at rho_max * mu,
+    stream_links. C7_load caps every link's arrival rate at rho_max * mu,
     which keeps its traffic under the link capacity (rho_max < 1), so the
     per-link capacity C5a needs no row of its own.
 
@@ -245,9 +326,10 @@ def formulate(
     only inflate the search space.
 
     `delay_cap` (seconds), when given with a delay weight, is a known upper
-    bound on the optimum's max delay: it bounds T and trims every link's
-    bins to those reachable_bins keeps under it, which also shrinks the Q
-    bound and the C8 big-M.
+    bound on the optimum's max delay: it bounds T, drops every stream's
+    links that no path under it can use (stream_links) and trims every
+    link's bins to those reachable_bins keeps under it, which also shrinks
+    the Q bound and the C8 big-M.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -278,11 +360,16 @@ def formulate(
     # Activation variables, one per modeled device.
     a = {dev: var(f"a_{_nm(dev)}", BINARY) for dev in sorted(specs)}
 
+    # Arc set of every (demand, remote target) stream; a cap binds only a
+    # model that has T.
+    cap = delay_cap if with_delay else None
+    routes = stream_links(scenario, linkset, tables, cap)
+
     # Queue bin variables per link, up to the bin of its largest reachable
     # arrival rate.
     z: dict[str, list[str]] = {}
     q_link: dict[str, str] = {}
-    top = reachable_bins(scenario, linkset, tables, delay_cap) if with_delay else {}
+    top = reachable_bins(scenario, linkset, tables, routes, cap) if with_delay else {}
     if with_delay:
         for link in linkset.links:
             table, k_top = tables[link.id], top[link.id]
@@ -294,15 +381,12 @@ def formulate(
     y: dict[tuple[str, str], str] = {}
     r: dict[tuple[str, str, str], str] = {}
     q: dict[tuple[str, str, str], str] = {}
-    # Route links of every (demand, remote target) stream.
-    routes: dict[tuple[DemandSpec, str], list[Link]] = {}
 
     for d in scenario.demands:
         for n in eligible:
             x[d.id, n] = var(f"x_{_nm(d.id)}_{_nm(n)}", CONTINUOUS, 0.0, 1.0)
             y[d.id, n] = var(f"y_{_nm(d.id)}_{_nm(n)}", BINARY)
             if n != d.source:
-                routes[d, n] = route_links(linkset, d.source, n)
                 for link in routes[d, n]:
                     r[d.id, n, link.id] = var(f"r_{_nm(d.id)}_{_nm(n)}_{link.id}", BINARY)
                     if with_delay:
@@ -460,28 +544,29 @@ def reachable_bins(
     scenario: Scenario,
     linkset: LinkSet,
     tables: dict[str, DelayTable],
+    streams: dict[tuple[DemandSpec, str], list[Link]],
     delay_cap: Optional[float] = None,
 ) -> dict[str, int]:
-    """Index of the highest queue bin each link can reach: its arrival rate
-    is at most every remote stream at once, and at most rho_max * mu (the
-    last bin). Higher bins could only raise the delay.
+    """Index of the highest queue bin each link can reach, given the arc
+    set of every stream (stream_links): the bin of the summed packet rate of
+    the streams whose set holds the link, at most rho_max * mu (the last
+    bin). Higher bins could only raise the delay.
 
     Under a `delay_cap` (seconds) a bin is kept only if its delay plus the
     link's propagation and transmission delay fits under the cap: a link
     that carries traffic lies on a path at least that slow. Bin 0, where a
     link without traffic sits, is always kept."""
-    eligible = eligible_processors(scenario)
-    packet = scenario.settings.packet_size
-    streams = sum(
-        delaymodel.packets_per_second(d.traffic * 1000.0, packet)
-        * sum(1 for n in eligible if n != d.source)
-        for d in scenario.demands
-    )
+    peak = {link.id: 0.0 for link in linkset.links}
+    for (d, _n), links in streams.items():
+        pps = _pps(d, scenario)
+        for link in links:
+            peak[link.id] += pps
     top = {}
     for link in linkset.links:
         bounds = tables[link.id].arrival_bounds
         # The margin keeps a rate on a bin bound, up to float dust, inside.
-        top[link.id] = min(len(bounds) - 1, bisect.bisect_left(bounds, streams * (1.0 + 1e-9)))
+        reach = bisect.bisect_left(bounds, peak[link.id] * (1.0 + 1e-9))
+        top[link.id] = min(len(bounds) - 1, reach)
         if delay_cap is not None:
             hop = link.prop_delay + link.tx_delay_per_packet
             fits = sum(1 for q in tables[link.id].delays if hop + q <= delay_cap)
@@ -498,24 +583,25 @@ def model_census(model: MilpModel) -> dict[str, int]:
 
 
 def model_census_formula(
-    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    delay_cap: Optional[float] = None,
 ) -> dict[str, int]:
-    """Closed-form variable/constraint counts, given the route_links of each
-    stream, of the delay-weighted model (w_delay != 0), which carries the
-    queue-bin machinery."""
+    """Closed-form variable/constraint counts, given the stream_links of
+    each stream, of the delay-weighted model (w_delay != 0), which carries
+    the queue-bin machinery, under `delay_cap` as formulate() takes it."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
     n_count = len(eligible)
     link_count = len(linkset.links)
-    bins = sum(k + 1 for k in reachable_bins(scenario, linkset, tables).values())
+    streams = stream_links(scenario, linkset, tables, delay_cap)
+    bins = sum(
+        k + 1 for k in reachable_bins(scenario, linkset, tables, streams, delay_cap).values()
+    )
     specs = powermodel.device_specs(scenario)
     dev_count = len(specs)
-    routes = [
-        (d.source, n, route_links(linkset, d.source, n))
-        for d in scenario.demands
-        for n in eligible
-        if n != d.source
-    ]
+    routes = [(d.source, n, links) for (d, n), links in streams.items()]
     arcs = [l for _s, _n, links in routes for l in links]
     used = {l.id for l in arcs}
 

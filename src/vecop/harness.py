@@ -282,7 +282,6 @@ CSV_COLUMNS = (
     "objective_value",
     "w_power",
     "w_delay",
-    "nodes_explored",
     "infeasible_reason",
 )
 
@@ -303,7 +302,6 @@ def table_to_csv(table: ResultTable) -> str:
                     _fmt(r.objective_value),
                     _fmt(r.w_power),
                     _fmt(r.w_delay),
-                    str(r.nodes_explored),
                     r.infeasible_reason.replace(",", ";"),
                 ]
             )

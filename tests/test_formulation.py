@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import re
 from pathlib import Path
@@ -23,6 +24,7 @@ from vecop.formulation import (
     model_census_formula,
     reachable_bins,
     route_links,
+    stream_links,
 )
 from vecop.scenario import (
     DemandSpec,
@@ -73,22 +75,44 @@ def test_census_matches_closed_form(
     assert census["variables"] > 0 and census["binaries"] < census["variables"]
 
 
+def _stream_counts(streams, linkset):
+    """How many streams' arc sets hold each link."""
+    held = {link.id: 0 for link in linkset.links}
+    for links in streams.values():
+        for link in links:
+            held[link.id] += 1
+    return held
+
+
 def test_reachable_bins_hold_the_largest_arrival_rate(
     default_model, default_scenario, default_linkset, default_tables
 ):
     # Default lot: one demand, 9 remote targets (7 vehicles, 2 edges); every
-    # link keeps exactly the bins up to the one its peak rate (all streams,
-    # or the C5a capacity in packets/s) falls into.
+    # link keeps exactly the bins up to the one its peak rate falls into:
+    # one stream rate per target whose route links hold the link (nothing
+    # is dropped at 1000 kbps without a cap), at most rho_max * mu.
     (d,) = default_scenario.demands
     pps = delaymodel.packets_per_second(d.traffic * 1000.0, 1500.0)
-    top = reachable_bins(default_scenario, default_linkset, default_tables)
+    targets = sorted(eligible_processors(default_scenario) - {d.source})
+    held = {link.id: 0 for link in default_linkset.links}
+    for n in targets:
+        for link in route_links(default_linkset, d.source, n):
+            held[link.id] += 1
+    streams = stream_links(default_scenario, default_linkset, default_tables)
+    assert _stream_counts(streams, default_linkset) == held
+    top = reachable_bins(default_scenario, default_linkset, default_tables, streams)
     kept = {v.name for v in default_model.variables if v.name.startswith("z_")}
     assert len(kept) == sum(k + 1 for k in top.values()) < 64 * len(default_linkset.links)
+    below_all = 0
     for link in default_linkset.links:
         table, k = default_tables[link.id], top[link.id]
-        peak = min(9 * pps, link.capacity / (8.0 * 1500.0), table.arrival_bounds[-1])
+        peak = min(held[link.id] * pps, table.arrival_bounds[-1])
         assert delaymodel.lookup(table, peak) == table.delays[k]
         assert f"z_{link.id}_k{k + 1}" in kept and f"z_{link.id}_k{k + 2}" not in kept
+        below_all += k < bisect.bisect_left(table.arrival_bounds, len(targets) * pps)
+    # Counting the streams per link, not every remote stream, lowers some
+    # links' top bin (links into the source carry no stream at all).
+    assert below_all > 0
 
 
 def test_delay_cap_none_is_the_uncapped_model(
@@ -109,31 +133,42 @@ def _big_ms(model, link_id):
 
 
 def test_delay_cap_bounds_t_and_trims_bins(default_scenario, default_linkset, default_tables):
-    cap = 1e-3
-    model = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap)
+    # One per-link rule under a cap: bins up to the one the link's capped
+    # streams reach together, each fitting under the cap after the link's
+    # own hop delay, and always bin 0. At 1000 kbps the arc prune leaves no
+    # link a bin the hop rule cuts, so the default lot carries 4000 kbps.
+    (base,) = default_scenario.demands
+    s = validate(
+        dataclasses.replace(
+            default_scenario, demands=(DemandSpec(base.id, base.source, 4000.0, 4000.0),)
+        )
+    )
+    cap = 2e-3
+    model = formulate(s, default_linkset, default_tables, JOINT, delay_cap=cap)
     variables = {v.name: v for v in model.variables}
     assert variables["T"].upper == cap / DELAY_UNIT
-    uncapped = reachable_bins(default_scenario, default_linkset, default_tables)
+    pps = delaymodel.packets_per_second(4000.0 * 1000.0, 1500.0)
+    held = _stream_counts(stream_links(s, default_linkset, default_tables, cap), default_linkset)
     partly = gated = 0
     for link in default_linkset.links:
-        delays = default_tables[link.id].delays[: uncapped[link.id] + 1]
+        table = default_tables[link.id]
+        peak = min(held[link.id] * pps, table.arrival_bounds[-1])
+        reach = table.delays.index(delaymodel.lookup(table, peak))
         fits = [
-            k for k, q in enumerate(delays)
+            k for k, q in enumerate(table.delays[: reach + 1])
             if link.prop_delay + link.tx_delay_per_packet + q <= cap
         ]
         kept = sorted(int(n.rsplit("_k", 1)[1]) - 1 for n in variables
                       if n.startswith(f"z_{link.id}_k"))
         assert kept == sorted(set(fits) | {0}), link.id
-        partly += 0 < len(fits) < len(delays)
-        top = delays[kept[-1]] / DELAY_UNIT
+        partly += 0 < len(fits) < reach + 1
+        top = table.delays[kept[-1]] / DELAY_UNIT
         assert variables[f"Q_{link.id}"].upper == top
         big_ms = _big_ms(model, link.id)
         assert all(m == top for m in big_ms), link.id
         gated += bool(big_ms)
-    # The cap trims some links to bin 0 and others only partly.
+    # The hop rule cuts some links' bins below the bin their streams reach.
     assert partly > 0 and gated > 0
-    assert any(not any(n.startswith(f"z_{l.id}_k2") for n in variables)
-               for l in default_linkset.links)
 
 
 def test_delay_cap_zero_leaves_only_local_processing():
@@ -236,6 +271,88 @@ def test_route_links_are_per_stream():
     routed = model.metadata["r"]
     assert not any(("d1", n, l) in routed for n in ("v2", "v3") for l in into_v1)
     assert all(("d2", "v1", l) in routed for l in into_v1)
+
+
+def _floor_delay(ls, tb, path, pps):
+    return sum(
+        ls.link(l).prop_delay + ls.link(l).tx_delay_per_packet + delaymodel.lookup(tb[l], pps)
+        for l in path
+    )
+
+
+def test_stream_links_use_each_demands_own_rate():
+    # Unequal traffic (1000 and 1500 kbps) at 64 bins puts the two demands'
+    # stream rates in different DSRC bins. At the floor delay of each simple
+    # path as the cap, every path that fits keeps its links; a one-hop path
+    # just over the cap loses its link. A rate shared by both demands
+    # overstates one demand's floor delays (the first check fails) or
+    # understates the other's (the second one does).
+    base = two_demand_scenario()
+    s = validate(dataclasses.replace(base, settings=dataclasses.replace(base.settings, bins=64)))
+    ls = linkmodel.build_links(s)
+    tb = delaymodel.build_tables(s, ls)
+    pps = {d.id: delaymodel.packets_per_second(d.traffic * 1000.0, 1500.0) for d in s.demands}
+    sensitive = {d.id: 0 for d in s.demands}
+    for d in s.demands:
+        (other,) = (p for d_id, p in pps.items() if d_id != d.id)
+        for n in sorted(eligible_processors(s) - {d.source}):
+            paths = _all_simple_paths(ls, d.source, n)
+            floors = [_floor_delay(ls, tb, p, pps[d.id]) for p in paths]
+            for path, cap in zip(paths, floors):
+                kept = {l.id for l in stream_links(s, ls, tb, cap)[d, n]}
+                for fits, floor in zip(paths, floors):
+                    if floor <= cap:
+                        assert set(fits) <= kept, (d.id, n, path)
+                if len(path) == 1:
+                    below = stream_links(s, ls, tb, cap * (1.0 - 1e-6))[d, n]
+                    assert path[0] not in {l.id for l in below}, (d.id, n)
+                    sensitive[d.id] += _floor_delay(ls, tb, path, other) != cap
+    assert all(sensitive.values()), sensitive
+
+
+def test_stream_links_drop_links_a_stream_overloads():
+    # 26 Mbit/s is above DSRC's rho_max * mu (~25.65 Mbit/s) but not WiFi's:
+    # the stream loses every DSRC link, and the floor delays under a cap
+    # never look up a rate beyond a table.
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 5, 0), make_edge("e1", 20, 0)],
+        traffic=26000.0,
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        mips_per_kbps=0.01,
+    )
+    (d,) = s.demands
+    pps = delaymodel.packets_per_second(26000.0 * 1000.0, 1500.0)
+    dsrc = {l.id for l in ls.links if l.medium == Medium.DSRC}
+    assert all(pps > tb[l].arrival_bounds[-1] for l in dsrc)
+    assert dsrc & {l.id for n in ("v2", "e1") for l in route_links(ls, d.source, n)}
+    for (_d, n), links in stream_links(s, ls, tb).items():
+        assert [l for l in route_links(ls, d.source, n) if l.id not in dsrc] == links, n
+    # Under a cap the floor delays skip the dropped links: the stream to e1
+    # cannot reach v2 (only DSRC leads there from v1) and loses v2 -> e1.
+    hops = {
+        n: [(l.tx_node, l.rx_node) for l in links]
+        for (_d, n), links in stream_links(s, ls, tb, 1.0).items()
+    }
+    assert hops == {"e1": [("v1", "e1")], "v2": [("v1", "e1"), ("e1", "v2")]}
+    model = formulate(s, ls, tb, JOINT, delay_cap=1.0)
+    assert not any(l in dsrc for (_d, _n, l) in model.metadata["r"])
+
+
+def test_census_matches_closed_form_under_a_cap(
+    default_scenario, default_linkset, default_tables
+):
+    for cap in (4e-4, 1e-3):
+        model = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap)
+        assert model_census(model) == model_census_formula(
+            default_scenario, default_linkset, default_tables, cap
+        )
+    s = two_demand_scenario()
+    ls = linkmodel.build_links(s)
+    tb = delaymodel.build_tables(s, ls)
+    cap = 6e-4
+    assert model_census(formulate(s, ls, tb, JOINT, delay_cap=cap)) == model_census_formula(
+        s, ls, tb, cap
+    )
 
 
 def _check_activation_rows(ls, model):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vecop import delaymodel, linkmodel, solver
-from vecop.formulation import evaluate, make_weights
+from vecop.formulation import evaluate, make_weights, route_links, stream_links
 from vecop.scenario import (
     ObjectivePreset,
     ObjectiveWeights,
@@ -254,19 +254,27 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     )
 
 
-def test_joint_weights_capped_path_matches_oracle():
-    # Every oracle seed with T* > 0: the capped delay pre-solve finds T* and
-    # the capped joint solve the joint optimum that brute_force finds.
-    delay_only = make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
-    checked = 0
+@pytest.fixture(scope="module")
+def capped_corpus():
+    """Every oracle seed with T* > 0: the instance, its power-only result and
+    its JOINT_EQUAL weights and delay cap."""
+    corpus = []
     for seed in range(100):
         s = random_oracle_instance(seed)
         ls, tb = _ctx(s)
         power = solve(s, ls, tb, POWER)
         w, cap = joint_weights(s, ls, tb, power)
-        if w is None or w.w_delay == 0.0:
-            continue
-        checked += 1
+        if w is not None and w.w_delay != 0.0:
+            corpus.append((seed, s, ls, tb, power, w, cap))
+    assert corpus
+    return corpus
+
+
+def test_joint_weights_capped_path_matches_oracle(capped_corpus):
+    # Every oracle seed with T* > 0: the capped delay pre-solve finds T* and
+    # the capped joint solve the joint optimum that brute_force finds.
+    delay_only = make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
+    for seed, s, ls, tb, _power, w, cap in capped_corpus:
         assert 0.5 / w.w_delay == pytest.approx(
             brute_force(s, ls, tb, delay_only).max_delay, rel=1e-9
         ), f"seed {seed}"
@@ -276,7 +284,31 @@ def test_joint_weights_capped_path_matches_oracle():
         assert joint.objective_value == pytest.approx(
             brute_force(s, ls, tb, w).objective_value, rel=1e-9
         ), f"seed {seed}"
-    assert checked > 0
+
+
+def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
+    # The delay-only pre-solve runs under T_p, the joint solve under the
+    # joint cap: every link of every simple path whose floor delay (queues
+    # at the stream's own rate) fits a cap stays in that stream's arc set.
+    fitting = dropped = 0
+    for seed, s, ls, tb, power, _w, joint_cap in capped_corpus:
+        (d,) = s.demands
+        pps = delaymodel.packets_per_second(d.traffic * 1000.0, s.settings.packet_size)
+        for cap in (power.max_delay * (1.0 + solver.CAP_MARGIN), joint_cap):
+            streams = stream_links(s, ls, tb, cap)
+            for (_d, n), links in streams.items():
+                kept = {l.id for l in links}
+                dropped += len(route_links(ls, d.source, n)) - len(kept)
+                for path in solver._all_simple_paths(ls, d.source, n):
+                    floor = sum(
+                        ls.link(l).prop_delay + ls.link(l).tx_delay_per_packet
+                        + delaymodel.lookup(tb[l], pps)
+                        for l in path
+                    )
+                    if floor <= cap:
+                        fitting += 1
+                        assert set(path) <= kept, f"seed {seed}, target {n}, cap {cap!r}"
+    assert fitting > 0 and dropped > 0
 
 
 def test_solve_raises_when_the_cap_cuts_off_every_allocation():
