@@ -32,22 +32,7 @@ def main():
 
     power = solver.solve(scenario, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY))
     show("power only", power)
-
-    delay = solver.solve(
-        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
-    )
-    show("delay only", delay)
-
-    if power.status == delay.status == "optimal" and delay.max_delay > 0:
-        joint = solver.solve(
-            scenario,
-            linkset,
-            tables,
-            make_weights(
-                ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, delay.max_delay)
-            ),
-        )
-        show("joint (equal-weighted)", joint)
+    show("joint (equal-weighted)", solver.solve_joint(scenario, linkset, tables, power))
 
 
 if __name__ == "__main__":

@@ -8,15 +8,14 @@ instance over the size limit, or HiGHS stopped without an optimum).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import delaymodel, harness, linkmodel, lp_io, solver
 from .formulation import formulate, make_weights, model_census
+from .harness import _fmt
 from .scenario import (
     ObjectivePreset,
     ProcessingSetting,
@@ -36,10 +35,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMITS = 4
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -62,30 +57,17 @@ def _load_scenario(path: str, setting: Optional[str] = None) -> Scenario:
 
 
 def _parse_objective(spec: str):
-    """power | joint | custom:wp,wd -> preset tag understood by _resolve_weights."""
-    if spec == "power":
-        return ObjectivePreset.POWER_ONLY, None
-    if spec == "joint":
-        return ObjectivePreset.JOINT_EQUAL, None
+    """power | joint | custom:wp,wd -> (weights of the first solve, whether
+    the joint preset's pre-solves follow it)."""
+    if spec in ("power", "joint"):
+        return make_weights(ObjectivePreset.POWER_ONLY), spec == "joint"
     if spec.startswith("custom:"):
         parts = spec[len("custom:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"malformed custom objective {spec!r}; expected custom:wp,wd")
-        return ObjectivePreset.CUSTOM, (float(parts[0]), float(parts[1]))
+        custom = (float(parts[0]), float(parts[1]))
+        return make_weights(ObjectivePreset.CUSTOM, custom=custom), False
     raise ValueError(f"unknown objective {spec!r}; expected power, joint, or custom:wp,wd")
-
-
-def _resolve_weights(preset, custom, scenario, linkset, tables, limits):
-    """(weights, delay cap, power-only result); the last two come from the
-    joint preset's pre-solves only. The weights are None when the power-only
-    result, and so the instance, is infeasible."""
-    if preset == ObjectivePreset.POWER_ONLY:
-        return make_weights(preset), None, None
-    if preset == ObjectivePreset.CUSTOM:
-        return make_weights(preset, custom=custom), None, None
-    power_only = make_weights(ObjectivePreset.POWER_ONLY)
-    power = solver.solve(scenario, linkset, tables, power_only, limits)
-    return (*solver.joint_weights(scenario, linkset, tables, power, limits), power)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +128,15 @@ def _cmd_export(args) -> int:
     scenario = _load_scenario(args.scenario, args.setting)
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
-    preset, custom = _parse_objective(args.objective)
+    weights, joint = _parse_objective(args.objective)
     limits = Limits(force=args.force)
-    weights, delay_cap, _ = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
-    if weights is None:
-        print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    delay_cap = None
+    if joint:
+        power = solver.solve(scenario, linkset, tables, weights, limits)
+        weights, delay_cap = solver.joint_weights(scenario, linkset, tables, power, limits)
+        if weights is None:
+            print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
+            return EXIT_INFEASIBLE
     model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
     if args.stats:
         census = model_census(model)
@@ -204,16 +189,11 @@ def _cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario, args.setting)
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
-    preset, custom = _parse_objective(args.objective)
+    weights, joint = _parse_objective(args.objective)
     limits = Limits(force=args.force)
-    weights, delay_cap, power = _resolve_weights(preset, custom, scenario, linkset, tables, limits)
-    if weights is None:
-        result = power
-    elif power is not None and weights.w_delay == 0.0:
-        # At T* = 0 the joint objective is the power-only one.
-        result = dataclasses.replace(power, weights=weights)
-    else:
-        result = solver.solve(scenario, linkset, tables, weights, limits, delay_cap=delay_cap)
+    result = solver.solve(scenario, linkset, tables, weights, limits)
+    if joint:
+        result = solver.solve_joint(scenario, linkset, tables, result, limits)
     _write(_result_document(scenario, result, limits), args.output)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
 
@@ -358,12 +338,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    # The command's stdout output is written once it has finished; HiGHS's
-    # C-level prints go to stderr (solver._stdout_to_stderr).
-    out = io.StringIO()
+    # HiGHS's C-level prints go to stderr (solver._stdout_to_stderr).
     try:
-        with contextlib.redirect_stdout(out):
-            return args.func(args)
+        return args.func(args)
     except (InstanceTooLarge, SolverStopped) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMITS
@@ -373,8 +350,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        sys.stdout.write(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -412,9 +412,8 @@ def formulate(
                 0.0,
             )
     for n in eligible:
-        cap = scenario.node(n).processor.capacity
         coeffs = {x[d.id, n]: (d.load or 0.0) for d in scenario.demands}
-        con(f"C3_cap_{_nm(n)}", coeffs, "<=", cap)
+        con(f"C3_cap_{_nm(n)}", coeffs, "<=", scenario.node(n).processor.capacity)
 
     # C4: binary per-target flow conservation plus simple-path degree caps.
     for (d, n), links in routes.items():
@@ -756,7 +755,6 @@ def evaluate(
 
 def make_weights(
     preset: ObjectivePreset,
-    scenario: Scenario = None,
     pre_solves: Optional[tuple[float, float]] = None,
     custom: Optional[tuple[float, float]] = None,
 ) -> ObjectiveWeights:

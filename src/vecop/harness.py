@@ -142,41 +142,23 @@ def _solve_cell(
 ) -> list[SweepRow]:
     """All requested objective rows of one (demand, setting) cell.
 
-    The joint preset normalizes by this cell's power-only and delay-only
-    optima, so both pre-solves run here regardless of the preset list order;
-    the joint solve runs under the delay cap they give.
+    Both presets start from the cell's power-only result, solved once; the
+    joint preset takes it through solver.solve_joint.
     """
     variant = _with_demand(scenario, demand_kbps, setting)
     linkset = linkmodel.build_links(variant)
     tables = delaymodel.build_tables(variant, linkset)
-
-    def run(weights, delay_cap=None):
-        return solver.solve(variant, linkset, tables, weights, limits, delay_cap=delay_cap)
-
-    cache: dict[ObjectivePreset, object] = {}
-
-    def power_only():
-        if ObjectivePreset.POWER_ONLY not in cache:
-            cache[ObjectivePreset.POWER_ONLY] = run(make_weights(ObjectivePreset.POWER_ONLY))
-        return cache[ObjectivePreset.POWER_ONLY]
-
+    power = None
     rows = []
     for preset in presets:
-        if preset == ObjectivePreset.POWER_ONLY:
-            result = power_only()
-        elif preset == ObjectivePreset.JOINT_EQUAL:
-            result = power_only()
-            weights, delay_cap = solver.joint_weights(variant, linkset, tables, result, limits)
-            if weights is not None:
-                # At T* = 0 the joint objective is the power-only one.
-                result = (
-                    dataclasses.replace(result, weights=weights)
-                    if weights.w_delay == 0.0
-                    else run(weights, delay_cap)
-                )
-        else:
-            result = run(variant.settings.objective)
-
+        if power is None:
+            weights = make_weights(ObjectivePreset.POWER_ONLY)
+            power = solver.solve(variant, linkset, tables, weights, limits)
+        result = (
+            power
+            if preset == ObjectivePreset.POWER_ONLY
+            else solver.solve_joint(variant, linkset, tables, power, limits)
+        )
         if collect is not None:
             collect(demand_kbps, setting, preset, variant, result)
         if result.status == "optimal":
@@ -191,33 +173,21 @@ def _solve_cell(
                         f"evaluator mismatch at demand={demand_kbps} setting={setting.value} "
                         f"objective={preset.value}: {got} != {want}"
                     )
-            rows.append(
-                SweepRow(
-                    demand_kbps=demand_kbps,
-                    setting=setting,
-                    objective=preset,
-                    status="optimal",
-                    total_power_w=result.total_power,
-                    max_delay_s=result.max_delay,
-                    objective_value=result.objective_value,
-                    w_power=result.weights.w_power,
-                    w_delay=result.weights.w_delay,
-                    nodes_explored=result.stats.nodes_explored,
-                )
+        rows.append(
+            SweepRow(
+                demand_kbps=demand_kbps,
+                setting=setting,
+                objective=preset,
+                status=result.status,
+                total_power_w=result.total_power,
+                max_delay_s=result.max_delay,
+                objective_value=result.objective_value,
+                w_power=result.weights.w_power,
+                w_delay=result.weights.w_delay,
+                nodes_explored=result.stats.nodes_explored,
+                infeasible_reason=result.infeasible_reason,
             )
-        else:
-            rows.append(
-                SweepRow(
-                    demand_kbps=demand_kbps,
-                    setting=setting,
-                    objective=preset,
-                    status="infeasible",
-                    w_power=result.weights.w_power,
-                    w_delay=result.weights.w_delay,
-                    nodes_explored=result.stats.nodes_explored,
-                    infeasible_reason=result.infeasible_reason,
-                )
-            )
+        )
     return rows
 
 
@@ -240,6 +210,9 @@ def sweep(
     for d in demands:
         if d <= 0:
             raise HarnessError(f"demand sizes must be > 0, got {d}")
+    for p in presets:
+        if p not in DEFAULT_PRESETS:
+            raise HarnessError(f"sweep runs the POWER_ONLY and JOINT_EQUAL presets, got {p.value}")
     cells = [(d, s) for d in demands for s in settings]
     if threads > 1 and cells:
         with ThreadPoolExecutor(max_workers=threads) as pool:

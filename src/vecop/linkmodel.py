@@ -12,7 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scenario import Medium, NodeSpec, RadioSpec, Scenario, ScenarioError
+from .scenario import (
+    Medium,
+    NodeSpec,
+    RadioSpec,
+    Scenario,
+    ScenarioError,
+    eligible_processors,
+)
 
 __all__ = [
     "Link",
@@ -187,9 +194,6 @@ def build_links(scenario: Scenario) -> LinkSet:
             idx += 1
 
     linkset = LinkSet(tuple(candidates))
-
-    from .scenario import eligible_processors
-
     eligible = eligible_processors(scenario)
     for d in scenario.demands:
         src = scenario.node(d.source)

@@ -57,6 +57,7 @@ __all__ = [
     "SolverStopped",
     "solve",
     "joint_weights",
+    "solve_joint",
     "greedy_split",
     "brute_force",
 ]
@@ -427,6 +428,28 @@ def joint_weights(
     weights = make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
     return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN)
+
+
+def solve_joint(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    power: SolveResult,
+    limits: Limits = Limits(),
+) -> SolveResult:
+    """JOINT_EQUAL result for an instance whose power-only result is `power`.
+
+    `power` itself when it is not optimal (the instance is infeasible under
+    any weights), `power` tagged with the joint weights when T* = 0 (the
+    joint objective is then power-only), otherwise the joint solve under the
+    cap joint_weights() gives.
+    """
+    weights, delay_cap = joint_weights(scenario, linkset, tables, power, limits)
+    if weights is None:
+        return power
+    if weights.w_delay == 0.0:
+        return replace(power, weights=weights)
+    return solve(scenario, linkset, tables, weights, limits, delay_cap=delay_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vecop import harness, solver
+from vecop import delaymodel, harness, linkmodel, solver
 from vecop.cli import (
     EXIT_INFEASIBLE,
     EXIT_LIMITS,
@@ -16,7 +16,7 @@ from vecop.cli import (
     EXIT_VALIDATION,
     main,
 )
-from vecop.formulation import model_census
+from vecop.formulation import make_weights, model_census
 from vecop.lp_io import export_lp, read_lp
 from vecop.scenario import ObjectivePreset, ProcessingSetting, emit_scenario, parse_scenario
 
@@ -206,6 +206,56 @@ def test_solve_joint_solves_no_model_twice(
     argv[2] = overload_scenario_path
     assert main(argv) == EXIT_INFEASIBLE
     assert calls == [(1.0, 0.0)]
+
+
+def _sweep_joint(s, tmp_path):
+    harness.sweep(
+        s,
+        demands=(s.demands[0].traffic,),
+        settings=(ProcessingSetting.VEHICLES_ONLY,),
+        presets=(ObjectivePreset.POWER_ONLY, ObjectivePreset.JOINT_EQUAL),
+    )
+
+
+def _cli_joint(s, tmp_path):
+    p = tmp_path / "scenario.json"
+    p.write_text(emit_scenario(s))
+    argv = ["solve", "--scenario", str(p), "--objective", "joint"]
+    assert main([*argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("front_end", [_sweep_joint, _cli_joint], ids=["sweep", "cli"])
+@pytest.mark.parametrize(
+    "traffic, solves",
+    [
+        # 1000 kbps overloads v1 (800 MIPS): T* > 0, so the power solve, then
+        # the capped delay-only pre-solve and the capped joint solve.
+        (1000.0, [("POWER_ONLY", False), ("CUSTOM", True), ("JOINT_EQUAL", True)]),
+        # 400 kbps stays on the source vehicle: T_p = 0, the power solve only.
+        (400.0, [("POWER_ONLY", False)]),
+    ],
+)
+def test_front_ends_solve_the_one_joint_chain(front_end, traffic, solves, tmp_path, monkeypatch):
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=traffic, bins=8
+    )
+    calls = []
+    solve = solver.solve
+
+    def recorded(*args, delay_cap=None, **kwargs):
+        calls.append((args[3], delay_cap))
+        return solve(*args, delay_cap=delay_cap, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", recorded)
+    front_end(s, tmp_path)
+    seen = calls[:]
+    calls.clear()
+    linkset = linkmodel.build_links(s)
+    tables = delaymodel.build_tables(s, linkset)
+    power = solver.solve(s, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY))
+    solver.solve_joint(s, linkset, tables, power)
+    assert [(w.preset.value, cap is not None) for w, cap in seen] == solves
+    assert seen == calls
 
 
 def test_solve_joint_and_custom(tiny_scenario_path, tmp_path):

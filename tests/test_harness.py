@@ -43,6 +43,11 @@ def test_sweep_rejects_bad_demands(default_scenario):
         sweep(default_scenario, demands=(0.0,))
 
 
+def test_sweep_rejects_presets_it_cannot_weight(default_scenario):
+    with pytest.raises(HarnessError, match="CUSTOM"):
+        sweep(default_scenario, presets=(ObjectivePreset.CUSTOM,))
+
+
 @pytest.fixture(scope="module")
 def mini_table():
     s = small_scenario(

@@ -120,6 +120,14 @@ def test_parse_fills_missing_settings_from_settings_defaults():
     assert parse_scenario(json.dumps(raw)).settings == Settings()
 
 
+def test_parse_ignores_unknown_keys():
+    raw = json.loads(GOLDEN.read_text())
+    raw["comment"] = "top level"
+    raw["nodes"][0]["colour"] = "red"
+    raw["settings"]["solver"] = "any"
+    assert parse_scenario(json.dumps(raw)) == parse_scenario(GOLDEN.read_text())
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ScenarioError):
         parse_scenario("{not json")
