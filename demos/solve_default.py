@@ -5,8 +5,7 @@ Run:  python3 demos/solve_default.py
 """
 
 from vecop import delaymodel, linkmodel, solver
-from vecop.formulation import make_weights
-from vecop.scenario import ObjectivePreset, generate_default
+from vecop.scenario import POWER_WEIGHTS, generate_default
 
 
 def show(tag, result):
@@ -30,7 +29,7 @@ def main():
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
 
-    power = solver.solve(scenario, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY))
+    power = solver.solve(scenario, linkset, tables, POWER_WEIGHTS)
     show("power only", power)
     show("joint (equal-weighted)", solver.solve_joint(scenario, linkset, tables, power))
 

@@ -10,14 +10,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 from . import delaymodel, harness, linkmodel, lp_io, solver
-from .formulation import formulate, make_weights, model_census
+from .formulation import formulate, model_census
 from .harness import _fmt
 from .scenario import (
+    POWER_WEIGHTS,
     ObjectivePreset,
+    ObjectiveWeights,
     ProcessingSetting,
     Scenario,
     ScenarioError,
@@ -56,17 +59,24 @@ def _load_scenario(path: str, setting: Optional[str] = None) -> Scenario:
     return scenario
 
 
-def _parse_objective(spec: str):
-    """power | joint | custom:wp,wd -> (weights of the first solve, whether
-    the joint preset's pre-solves follow it)."""
-    if spec in ("power", "joint"):
-        return make_weights(ObjectivePreset.POWER_ONLY), spec == "joint"
+def _parse_objective(spec: str) -> tuple[ObjectivePreset, ObjectiveWeights]:
+    """power | joint | custom:wp,wd -> (the requested preset, the weights of
+    its first solve). JOINT_EQUAL's first solve is power-only; its pre-solves
+    and joint solve follow."""
+    if spec == "power":
+        return ObjectivePreset.POWER_ONLY, POWER_WEIGHTS
+    if spec == "joint":
+        return ObjectivePreset.JOINT_EQUAL, POWER_WEIGHTS
     if spec.startswith("custom:"):
         parts = spec[len("custom:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"malformed custom objective {spec!r}; expected custom:wp,wd")
-        custom = (float(parts[0]), float(parts[1]))
-        return make_weights(ObjectivePreset.CUSTOM, custom=custom), False
+        w_power, w_delay = float(parts[0]), float(parts[1])
+        if not all(math.isfinite(w) and w >= 0.0 for w in (w_power, w_delay)):
+            raise ValueError(f"custom objective {spec!r}: weights must be finite and non-negative")
+        if w_power == 0.0 and w_delay == 0.0:
+            raise ValueError(f"custom objective {spec!r}: weights must not both be zero")
+        return ObjectivePreset.CUSTOM, ObjectiveWeights(w_power, w_delay)
     raise ValueError(f"unknown objective {spec!r}; expected power, joint, or custom:wp,wd")
 
 
@@ -125,13 +135,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    preset, weights = _parse_objective(args.objective)
     scenario = _load_scenario(args.scenario, args.setting)
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
-    weights, joint = _parse_objective(args.objective)
     limits = Limits(force=args.force)
     delay_cap = None
-    if joint:
+    if preset == ObjectivePreset.JOINT_EQUAL:
         power = solver.solve(scenario, linkset, tables, weights, limits)
         weights, delay_cap = solver.joint_weights(scenario, linkset, tables, power, limits)
         if weights is None:
@@ -146,12 +156,12 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _result_document(scenario, result, limits) -> str:
+def _result_document(scenario, preset, result, limits) -> str:
     doc = {
         "provenance": harness.provenance(scenario, limits),
         "status": result.status,
         "weights": {
-            "preset": result.weights.preset.value,
+            "preset": preset.value,
             "w_power": result.weights.w_power,
             "w_delay": result.weights.w_delay,
         },
@@ -186,15 +196,15 @@ def _result_document(scenario, result, limits) -> str:
 
 
 def _cmd_solve(args) -> int:
+    preset, weights = _parse_objective(args.objective)
     scenario = _load_scenario(args.scenario, args.setting)
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
-    weights, joint = _parse_objective(args.objective)
     limits = Limits(force=args.force)
     result = solver.solve(scenario, linkset, tables, weights, limits)
-    if joint:
+    if preset == ObjectivePreset.JOINT_EQUAL:
         result = solver.solve_joint(scenario, linkset, tables, result, limits)
-    _write(_result_document(scenario, result, limits), args.output)
+    _write(_result_document(scenario, preset, result, limits), args.output)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
 
 

@@ -25,7 +25,6 @@ from .delaymodel import DelayTable
 from .linkmodel import Link, LinkSet, Medium
 from .scenario import (
     DemandSpec,
-    ObjectivePreset,
     ObjectiveWeights,
     Scenario,
     eligible_processors,
@@ -45,12 +44,10 @@ __all__ = [
     "route_links",
     "stream_links",
     "evaluate",
-    "make_weights",
     "model_census",
 ]
 
 FRACTION_TOL = 1e-9
-OBJECTIVE_TOL = 1e-9
 # The model's delay variables (Q, q, T) count microseconds: path delays of
 # 1e-4..1e-2 s would sit near HiGHS's feasibility tolerances (1e-7..1e-6).
 DELAY_UNIT = 1e-6
@@ -177,8 +174,7 @@ class Constraint:
 class MilpModel:
     variables: tuple[Variable, ...]
     constraints: tuple[Constraint, ...]
-    objective: dict[str, float]
-    minimize: bool = True
+    objective: dict[str, float]  # minimized
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -536,7 +532,7 @@ def formulate(
         "y": dict(y),
         "r": dict(r),
     }
-    return MilpModel(tuple(variables), tuple(constraints), objective, True, metadata)
+    return MilpModel(tuple(variables), tuple(constraints), objective, metadata)
 
 
 def reachable_bins(
@@ -751,29 +747,3 @@ def evaluate(
         per_device_power=dict(breakdown.per_device),
         per_target_delay=per_target_delay,
     )
-
-
-def make_weights(
-    preset: ObjectivePreset,
-    pre_solves: Optional[tuple[float, float]] = None,
-    custom: Optional[tuple[float, float]] = None,
-) -> ObjectiveWeights:
-    """Resolve an objective preset into concrete weights.
-
-    JOINT_EQUAL normalizes by the single-objective optima (P*, T*) supplied
-    in `pre_solves`, giving each objective half the weight at its optimum.
-    """
-    if preset == ObjectivePreset.POWER_ONLY:
-        return ObjectiveWeights(1.0, 0.0, preset)
-    if preset == ObjectivePreset.JOINT_EQUAL:
-        if pre_solves is None:
-            raise FormulationError("JOINT_EQUAL requires pre_solves = (power_opt, delay_opt)")
-        p_star, t_star = pre_solves
-        if p_star <= 0 or t_star <= 0:
-            raise FormulationError(
-                f"JOINT_EQUAL normalizers must be positive, got P*={p_star}, T*={t_star}"
-            )
-        return ObjectiveWeights(0.5 / p_star, 0.5 / t_star, preset)
-    if custom is None:
-        raise FormulationError("CUSTOM preset requires explicit weights")
-    return ObjectiveWeights(custom[0], custom[1], ObjectivePreset.CUSTOM)

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import delaymodel, linkmodel, solver
-from .formulation import evaluate, make_weights
+from .formulation import evaluate
 from .scenario import (
+    POWER_WEIGHTS,
     DemandSpec,
     ObjectivePreset,
     ProcessingSetting,
@@ -152,8 +153,7 @@ def _solve_cell(
     rows = []
     for preset in presets:
         if power is None:
-            weights = make_weights(ObjectivePreset.POWER_ONLY)
-            power = solver.solve(variant, linkset, tables, weights, limits)
+            power = solver.solve(variant, linkset, tables, POWER_WEIGHTS, limits)
         result = (
             power
             if preset == ObjectivePreset.POWER_ONLY

@@ -3,7 +3,8 @@
 The writer is canonical (terms sorted by variable name, repr float
 formatting) so export -> read -> export is byte-stable. The reader accepts
 the dialect the writer produces plus the common section spellings
-("Subject To" / "st", "Binaries" / "Binary", "General(s)").
+("Subject To" / "st", "Binaries" / "Binary", "General(s)"). A MilpModel is
+always minimized, so the reader rejects a "Maximize" section.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _expr(coeffs: dict[str, float]) -> str:
 
 
 def export_lp(model: MilpModel) -> str:
-    lines = ["Minimize" if model.minimize else "Maximize"]
+    lines = ["Minimize"]
     lines.append(f" obj: {_expr(model.objective)}")
     lines.append("Subject To")
     for c in model.constraints:
@@ -80,9 +81,7 @@ def export_lp(model: MilpModel) -> str:
 
 _SECTIONS = {
     "minimize": "objective",
-    "maximize": "objective",
     "min": "objective",
-    "max": "objective",
     "subject to": "constraints",
     "such that": "constraints",
     "st": "constraints",
@@ -136,7 +135,6 @@ def _parse_expr(tokens: list[str], line_no: int) -> dict[str, float]:
 
 
 def read_lp(text: str) -> MilpModel:
-    minimize = True
     objective: dict[str, float] = {}
     constraints: list[Constraint] = []
     bounds: dict[str, tuple[float, float | None]] = {}
@@ -184,14 +182,12 @@ def read_lp(text: str) -> MilpModel:
         if not line:
             continue
         key = line.lower()
+        if key in ("maximize", "max"):
+            raise LpParseError(line_no, "a maximized objective is not supported")
         if key in _SECTIONS:
             if section == "constraints":
                 flush_constraint()
             section = _SECTIONS[key]
-            if key in ("minimize", "min"):
-                minimize = True
-            elif key in ("maximize", "max"):
-                minimize = False
             if section == "end":
                 break
             continue
@@ -255,13 +251,11 @@ def read_lp(text: str) -> MilpModel:
         else:
             lo, up = bounds.get(name, (0.0, None))
             variables.append(Variable(name, CONTINUOUS, lo, up))
-    return MilpModel(tuple(variables), tuple(constraints), objective, minimize, {})
+    return MilpModel(tuple(variables), tuple(constraints), objective, {})
 
 
 def structurally_equal(m1: MilpModel, m2: MilpModel, tol: float = 1e-12) -> bool:
     """Same variables, constraints and coefficients, ignoring declaration order."""
-    if m1.minimize != m2.minimize:
-        return False
 
     def vkey(v: Variable):
         return v.name

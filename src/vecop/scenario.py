@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -28,6 +28,7 @@ __all__ = [
     "NodeSpec",
     "DemandSpec",
     "ObjectiveWeights",
+    "POWER_WEIGHTS",
     "Settings",
     "Scenario",
     "ScenarioError",
@@ -61,6 +62,8 @@ class ProcessingSetting(str, Enum):
 
 
 class ObjectivePreset(str, Enum):
+    """The objective a run asks for; the run, not the scenario, chooses it."""
+
     POWER_ONLY = "POWER_ONLY"
     JOINT_EQUAL = "JOINT_EQUAL"
     CUSTOM = "CUSTOM"
@@ -127,15 +130,14 @@ class DemandSpec:
 class ObjectiveWeights:
     w_power: float  # 1/watt
     w_delay: float  # 1/second
-    preset: ObjectivePreset = ObjectivePreset.CUSTOM
+
+
+POWER_WEIGHTS = ObjectiveWeights(1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class Settings:
     processing_setting: ProcessingSetting = ProcessingSetting.VEHICLES_AND_EDGE
-    objective: ObjectiveWeights = field(
-        default_factory=lambda: ObjectiveWeights(1.0, 0.0, ObjectivePreset.POWER_ONLY)
-    )
     packet_size: float = 1500.0  # bytes
     rho_max: float = 0.95  # queue utilization cap
     bins: int = 64  # lookup-table entries per queue
@@ -281,9 +283,6 @@ def validate(scenario: Scenario) -> Scenario:
     _require(s.packet_size > 0, f"settings.packet_size: must be > 0, got {s.packet_size}")
     _require(s.mips_per_kbps > 0, f"settings.mips_per_kbps: must be > 0, got {s.mips_per_kbps}")
     _require(s.core_energy_per_bit >= 0, "settings.core_energy_per_bit: must be >= 0")
-    obj = s.objective
-    _require(obj.w_power >= 0 and obj.w_delay >= 0, "objective: weights must be non-negative")
-    _require(obj.w_power > 0 or obj.w_delay > 0, "objective: weights must not both be zero")
 
     _require(scenario.lot_width > 0 and scenario.lot_height > 0, "lot: dimensions must be positive")
 
@@ -457,18 +456,12 @@ def parse_scenario(document: str) -> Scenario:
         )
 
     st = _get(raw, "settings", "document")
-    obj = _get(st, "objective", "settings")
     defaults = Settings()
     settings = Settings(
         processing_setting=_enum(
             ProcessingSetting,
             _get(st, "processing_setting", "settings"),
             "settings.processing_setting",
-        ),
-        objective=ObjectiveWeights(
-            w_power=float(_get(obj, "w_power", "settings.objective")),
-            w_delay=float(_get(obj, "w_delay", "settings.objective")),
-            preset=_enum(ObjectivePreset, obj.get("preset", "CUSTOM"), "settings.objective.preset"),
         ),
         packet_size=float(st.get("packet_size_bytes", defaults.packet_size)),
         rho_max=float(st.get("rho_max", defaults.rho_max)),
@@ -534,11 +527,6 @@ def emit_scenario(scenario: Scenario) -> str:
         ],
         "settings": {
             "processing_setting": scenario.settings.processing_setting.value,
-            "objective": {
-                "preset": scenario.settings.objective.preset.value,
-                "w_power": scenario.settings.objective.w_power,
-                "w_delay": scenario.settings.objective.w_delay,
-            },
             "packet_size_bytes": scenario.settings.packet_size,
             "rho_max": scenario.settings.rho_max,
             "bins": scenario.settings.bins,

@@ -39,12 +39,11 @@ from .formulation import (
     SolverStats,
     evaluate,
     formulate,
-    make_weights,
 )
 from .linkmodel import LinkSet
 from .scenario import (
+    POWER_WEIGHTS,
     DemandSpec,
-    ObjectivePreset,
     ObjectiveWeights,
     Scenario,
     eligible_processors,
@@ -405,27 +404,25 @@ def joint_weights(
     power P_d. Both caps carry a relative CAP_MARGIN.
 
     When T* is zero (local processing) the joint objective degenerates to
-    power-only, returned tagged JOINT_EQUAL with no cap: the joint result is
-    then `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
+    power-only: POWER_WEIGHTS with no cap, and the joint result is then
+    `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
     (None, None) when `power` is not optimal: the instance is then
     infeasible under any weights.
     """
     if power.status != "optimal":
         return None, None
-    power_only = replace(
-        make_weights(ObjectivePreset.POWER_ONLY), preset=ObjectivePreset.JOINT_EQUAL
-    )
     t_power = power.max_delay
     if t_power == 0.0:
-        return power_only, None
+        return POWER_WEIGHTS, None
     delay = solve(
-        scenario, linkset, tables, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)),
+        scenario, linkset, tables, ObjectiveWeights(0.0, 1.0),
         limits, delay_cap=t_power * (1.0 + CAP_MARGIN),
     )
     t_star = delay.max_delay
     if t_star == 0.0:
-        return power_only, None
-    weights = make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, t_star))
+        return POWER_WEIGHTS, None
+    # Each objective weighs 0.5 at its own optimum (P* > 0: every device draws idle power).
+    weights = ObjectiveWeights(0.5 / power.total_power, 0.5 / t_star)
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
     return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN)
 
@@ -440,15 +437,12 @@ def solve_joint(
     """JOINT_EQUAL result for an instance whose power-only result is `power`.
 
     `power` itself when it is not optimal (the instance is infeasible under
-    any weights), `power` tagged with the joint weights when T* = 0 (the
-    joint objective is then power-only), otherwise the joint solve under the
-    cap joint_weights() gives.
+    any weights) or when T* = 0 (the joint objective is then power-only),
+    otherwise the joint solve under the cap joint_weights() gives.
     """
     weights, delay_cap = joint_weights(scenario, linkset, tables, power, limits)
-    if weights is None:
+    if weights is None or weights.w_delay == 0.0:
         return power
-    if weights.w_delay == 0.0:
-        return replace(power, weights=weights)
     return solve(scenario, linkset, tables, weights, limits, delay_cap=delay_cap)
 
 

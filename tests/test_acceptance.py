@@ -14,12 +14,14 @@ import pytest
 
 from vecop import delaymodel, harness, solver
 from vecop.delaymodel import QueueSpec, build_table, lookup, mm1_delay, packets_per_second
-from vecop.formulation import evaluate, formulate, make_weights
+from vecop.formulation import evaluate, formulate
 from vecop.harness import table_to_csv
 from vecop.linkmodel import build_links, dbm_to_watts
 from vecop.lp_io import export_lp, read_lp, structurally_equal
 from vecop.scenario import (
+    POWER_WEIGHTS,
     ObjectivePreset,
+    ObjectiveWeights,
     ProcessingSetting,
     generate_default,
     validate,
@@ -54,8 +56,8 @@ def verdict(capsys, num: int, name: str):
 def oracle_results():
     """100-seed cross-check corpus under both objective presets."""
     weights = {
-        PO: make_weights(PO),
-        JE: make_weights(JE, pre_solves=(25.0, 0.00025)),
+        PO: POWER_WEIGHTS,
+        JE: ObjectiveWeights(0.5 / 25.0, 0.5 / 0.00025),
     }
     results = []
     t0 = time.perf_counter()
@@ -259,8 +261,8 @@ def test_criterion_7_power_monotonicity(capsys, default_sweep):
 def test_criterion_8_lp_round_trip(capsys, default_scenario, default_linkset, default_tables):
     with verdict(capsys, 8, "LP export/read structural equality, both presets"):
         presets = (
-            make_weights(PO),
-            make_weights(JE, pre_solves=(16.384, 0.000161270419)),
+            POWER_WEIGHTS,
+            ObjectiveWeights(0.5 / 16.384, 0.5 / 0.000161270419),
         )
         for weights in presets:
             model = formulate(default_scenario, default_linkset, default_tables, weights)

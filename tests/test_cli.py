@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vecop import delaymodel, harness, linkmodel, solver
+from vecop import cli, delaymodel, harness, linkmodel, solver
 from vecop.cli import (
     EXIT_INFEASIBLE,
     EXIT_LIMITS,
@@ -16,9 +16,15 @@ from vecop.cli import (
     EXIT_VALIDATION,
     main,
 )
-from vecop.formulation import make_weights, model_census
+from vecop.formulation import model_census
 from vecop.lp_io import export_lp, read_lp
-from vecop.scenario import ObjectivePreset, ProcessingSetting, emit_scenario, parse_scenario
+from vecop.scenario import (
+    POWER_WEIGHTS,
+    ObjectivePreset,
+    ProcessingSetting,
+    emit_scenario,
+    parse_scenario,
+)
 
 from conftest import make_vehicle, random_oracle_instance, small_scenario
 
@@ -94,8 +100,8 @@ def test_table_csv(tmp_path, capsys):
 def test_export_lp_parses(tiny_scenario_path, tmp_path):
     out = tmp_path / "model.lp"
     assert main(["export", "--scenario", tiny_scenario_path, "-o", str(out)]) == EXIT_OK
-    model = read_lp(out.read_text())
-    assert model.minimize and model.constraints
+    assert out.read_text().startswith("Minimize\n")
+    assert read_lp(out.read_text()).constraints
 
 
 def test_export_stats(tiny_scenario_path, capsys):
@@ -224,15 +230,21 @@ def _cli_joint(s, tmp_path):
     assert main([*argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
 
 
+def _kind(weights):
+    return {(1.0, 0.0): "power", (0.0, 1.0): "delay"}.get(
+        (weights.w_power, weights.w_delay), "joint"
+    )
+
+
 @pytest.mark.parametrize("front_end", [_sweep_joint, _cli_joint], ids=["sweep", "cli"])
 @pytest.mark.parametrize(
     "traffic, solves",
     [
         # 1000 kbps overloads v1 (800 MIPS): T* > 0, so the power solve, then
         # the capped delay-only pre-solve and the capped joint solve.
-        (1000.0, [("POWER_ONLY", False), ("CUSTOM", True), ("JOINT_EQUAL", True)]),
+        (1000.0, [("power", False), ("delay", True), ("joint", True)]),
         # 400 kbps stays on the source vehicle: T_p = 0, the power solve only.
-        (400.0, [("POWER_ONLY", False)]),
+        (400.0, [("power", False)]),
     ],
 )
 def test_front_ends_solve_the_one_joint_chain(front_end, traffic, solves, tmp_path, monkeypatch):
@@ -252,9 +264,9 @@ def test_front_ends_solve_the_one_joint_chain(front_end, traffic, solves, tmp_pa
     calls.clear()
     linkset = linkmodel.build_links(s)
     tables = delaymodel.build_tables(s, linkset)
-    power = solver.solve(s, linkset, tables, make_weights(ObjectivePreset.POWER_ONLY))
+    power = solver.solve(s, linkset, tables, POWER_WEIGHTS)
     solver.solve_joint(s, linkset, tables, power)
-    assert [(w.preset.value, cap is not None) for w, cap in seen] == solves
+    assert [(_kind(w), cap is not None) for w, cap in seen] == solves
     assert seen == calls
 
 
@@ -282,6 +294,36 @@ def test_solve_joint_and_custom(tiny_scenario_path, tmp_path):
     )
     doc = json.loads(out.read_text())
     assert doc["weights"] == {"preset": "CUSTOM", "w_power": 0.02, "w_delay": 2000.0}
+
+
+@pytest.mark.parametrize(
+    "objective, preset",
+    [("power", "POWER_ONLY"), ("joint", "JOINT_EQUAL"), ("custom:0.02,2000", "CUSTOM")],
+)
+def test_solve_labels_the_requested_objective(overload_scenario_path, tmp_path, objective, preset):
+    # The power-only model is infeasible, so no joint weights are ever built:
+    # the label still names the objective the command asked for.
+    out = tmp_path / "result.json"
+    argv = ["solve", "--scenario", overload_scenario_path, "--objective", objective]
+    assert main([*argv, "-o", str(out)]) == EXIT_INFEASIBLE
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "infeasible"
+    assert doc["weights"]["preset"] == preset
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize(
+    "spec", ["custom:-1,0", "custom:0,-1", "custom:0,0", "custom:nan,1", "custom:1,inf"]
+)
+def test_custom_weights_validated(command, spec, tiny_scenario_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved with invalid weights")
+
+    monkeypatch.setattr(solver, "solve", unreachable)
+    monkeypatch.setattr(cli, "formulate", unreachable)
+    argv = [command, "--scenario", tiny_scenario_path, "--objective", spec]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"custom objective {spec!r}" in capsys.readouterr().err
 
 
 def test_solve_objective_spelling(tiny_scenario_path):

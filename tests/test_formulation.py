@@ -19,7 +19,6 @@ from vecop.formulation import (
     _nm,
     evaluate,
     formulate,
-    make_weights,
     model_census,
     model_census_formula,
     reachable_bins,
@@ -28,8 +27,8 @@ from vecop.formulation import (
 )
 from vecop.scenario import (
     DemandSpec,
+    POWER_WEIGHTS,
     Medium,
-    ObjectivePreset,
     ObjectiveWeights,
     ProcessingSetting,
     eligible_processors,
@@ -47,8 +46,8 @@ from conftest import (
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
-POWER = ObjectiveWeights(1.0, 0.0, ObjectivePreset.POWER_ONLY)
-JOINT = ObjectiveWeights(0.02, 2000.0, ObjectivePreset.CUSTOM)
+POWER = POWER_WEIGHTS
+JOINT = ObjectiveWeights(0.02, 2000.0)
 
 
 @pytest.fixture(scope="module")
@@ -509,19 +508,3 @@ def test_evaluate_rejects_unstable_queue():
         evaluate(s, ls, tb, alloc, POWER)
     assert e.value.family == "C7"
 
-
-def test_make_weights_presets():
-    w = make_weights(ObjectivePreset.POWER_ONLY)
-    assert (w.w_power, w.w_delay, w.preset) == (1.0, 0.0, ObjectivePreset.POWER_ONLY)
-    j = make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(25.0, 0.00025))
-    assert j.w_power == pytest.approx(0.02)
-    assert j.w_delay == pytest.approx(2000.0)
-    assert j.preset == ObjectivePreset.JOINT_EQUAL
-    c = make_weights(ObjectivePreset.CUSTOM, custom=(3.0, 4.0))
-    assert (c.w_power, c.w_delay) == (3.0, 4.0)
-    with pytest.raises(FormulationError):
-        make_weights(ObjectivePreset.JOINT_EQUAL)
-    with pytest.raises(FormulationError):
-        make_weights(ObjectivePreset.JOINT_EQUAL, pre_solves=(0.0, 1.0))
-    with pytest.raises(FormulationError):
-        make_weights(ObjectivePreset.CUSTOM)

@@ -9,10 +9,10 @@ from vecop.formulation import (
     formulate,
 )
 from vecop.lp_io import LpParseError, export_lp, read_lp, structurally_equal
-from vecop.scenario import ObjectivePreset, ObjectiveWeights
+from vecop.scenario import POWER_WEIGHTS, ObjectiveWeights
 
-POWER = ObjectiveWeights(1.0, 0.0, ObjectivePreset.POWER_ONLY)
-JOINT = ObjectiveWeights(0.02, 2000.0, ObjectivePreset.CUSTOM)
+POWER = POWER_WEIGHTS
+JOINT = ObjectiveWeights(0.02, 2000.0)
 
 
 def tiny_model():
@@ -71,7 +71,6 @@ def test_reader_accepts_alternate_spellings():
         "End\n"
     )
     m = read_lp(text)
-    assert m.minimize
     assert m.objective == {"x1": 2.0, "b1": 1.0}
     assert [c.sense for c in m.constraints] == ["<=", ">="]
     assert m.constraints[1].rhs == -0.5
@@ -112,6 +111,15 @@ def test_parse_error_reports_line():
 
     with pytest.raises(LpParseError, match="before the objective"):
         read_lp("x1 <= 3\nEnd\n")
+
+
+@pytest.mark.parametrize("header", ["Maximize", "max", "MAX"])
+def test_reader_rejects_maximize(header):
+    # A MilpModel is always minimized; reading a maximized model as one would
+    # silently flip its optimum.
+    with pytest.raises(LpParseError, match="maximized") as e:
+        read_lp(f"\\ model\n{header}\n obj: x1\nSubject To\n c1: x1 <= 1\nEnd\n")
+    assert e.value.line_no == 2
 
 
 def test_structurally_equal_detects_differences():

@@ -1,13 +1,13 @@
 import dataclasses
 import importlib.resources
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from vecop.scenario import (
     DemandSpec,
-    ObjectivePreset,
-    ObjectiveWeights,
     ProcessingSetting,
     Scenario,
     ScenarioError,
@@ -22,6 +22,7 @@ from vecop.scenario import (
 from conftest import make_edge, make_vehicle, small_scenario
 
 GOLDEN = importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json"
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
 def test_generate_default_shape():
@@ -116,7 +117,7 @@ def test_parse_fills_missing_settings_from_settings_defaults():
     raw = json.loads(GOLDEN.read_text())
     for key in ("packet_size_bytes", "rho_max", "bins", "mips_per_kbps", "core_energy_per_bit_j"):
         del raw["settings"][key]
-    # The golden document's setting and objective are the Settings() defaults too.
+    # The golden document's processing setting is the Settings() default too.
     assert parse_scenario(json.dumps(raw)).settings == Settings()
 
 
@@ -125,7 +126,24 @@ def test_parse_ignores_unknown_keys():
     raw["comment"] = "top level"
     raw["nodes"][0]["colour"] = "red"
     raw["settings"]["solver"] = "any"
+    # Older documents carry an objective; the run chooses it now.
+    raw["settings"]["objective"] = {"preset": "CUSTOM", "w_power": 0.0, "w_delay": 1.0}
     assert parse_scenario(json.dumps(raw)) == parse_scenario(GOLDEN.read_text())
+
+
+def test_parse_needs_no_objective():
+    raw = json.loads(GOLDEN.read_text())
+    assert "objective" not in raw["settings"]
+    s = parse_scenario(json.dumps(raw))
+    assert "objective" not in json.loads(emit_scenario(s))["settings"]
+
+
+def test_formats_md_scenario_example_has_the_emitted_settings(default_scenario):
+    text = FORMATS_MD.read_text()
+    section = text[text.index("## Scenario document (JSON)"):]
+    example = section.split("```json")[1].split("```")[0]
+    documented = json.loads(re.sub(r"//.*", "", example))["settings"]
+    assert set(documented) == set(json.loads(emit_scenario(default_scenario))["settings"])
 
 
 def test_parse_rejects_malformed_json():
@@ -155,14 +173,6 @@ def test_eligible_processors_by_setting(default_scenario):
     assert eligible_processors(vo) == {f"v{i}" for i in range(1, 9)}
     assert eligible_processors(ve) == {f"v{i}" for i in range(1, 9)} | {"e1", "e2"}
     assert eligible_processors(co) == {"cloud"}
-
-
-def test_objective_weights_validated():
-    with pytest.raises(ScenarioError, match="weights"):
-        small_scenario(
-            [make_vehicle("v1", 0, 0), make_vehicle("v2", 10, 0)],
-            objective=ObjectiveWeights(0.0, 0.0, ObjectivePreset.CUSTOM),
-        )
 
 
 def test_rho_max_bounds_validated():

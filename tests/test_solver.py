@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from vecop import delaymodel, linkmodel, solver
-from vecop.formulation import evaluate, make_weights, route_links, stream_links
+from vecop.formulation import evaluate, route_links, stream_links
 from vecop.scenario import (
-    ObjectivePreset,
+    POWER_WEIGHTS,
     ObjectiveWeights,
     ProcessingSetting,
     validate,
@@ -34,8 +34,9 @@ from conftest import (
     two_demand_scenario,
 )
 
-POWER = make_weights(ObjectivePreset.POWER_ONLY)
-JOINT = ObjectiveWeights(0.02, 2000.0, ObjectivePreset.CUSTOM)
+POWER = POWER_WEIGHTS
+DELAY = ObjectiveWeights(0.0, 1.0)
+JOINT = ObjectiveWeights(0.02, 2000.0)
 
 
 def _ctx(s):
@@ -118,7 +119,7 @@ def test_solve_weight_scale_invariance():
     ls, tb = _ctx(s)
     r1 = solve(s, ls, tb, JOINT)
     r7 = solve(
-        s, ls, tb, ObjectiveWeights(JOINT.w_power * 7.0, JOINT.w_delay * 7.0, ObjectivePreset.CUSTOM)
+        s, ls, tb, ObjectiveWeights(JOINT.w_power * 7.0, JOINT.w_delay * 7.0)
     )
     assert r1.status == r7.status == "optimal"
     assert r7.objective_value == pytest.approx(7.0 * r1.objective_value, rel=1e-9)
@@ -222,7 +223,7 @@ def test_joint_weights_power_only_when_delay_optimum_is_zero():
     )
     ls, tb = _ctx(s)
     w, cap = joint_weights(s, ls, tb, solve(s, ls, tb, POWER))
-    assert (w.w_power, w.w_delay, w.preset) == (1.0, 0.0, ObjectivePreset.JOINT_EQUAL)
+    assert w == POWER
     assert cap is None
 
 
@@ -230,7 +231,7 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
     ls, tb = _ctx(s)
     power = solve(s, ls, tb, POWER)
-    delay = solve(s, ls, tb, make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0)))
+    delay = solve(s, ls, tb, DELAY)
     calls = []
 
     def counted(*args, **kwargs):
@@ -245,9 +246,7 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     assert [(c.w_delay, pre_cap) for c, pre_cap in calls] == [
         (1.0, power.max_delay * (1.0 + solver.CAP_MARGIN))
     ]
-    assert w == make_weights(
-        ObjectivePreset.JOINT_EQUAL, pre_solves=(power.total_power, delay.max_delay)
-    )
+    assert w == ObjectiveWeights(0.5 / power.total_power, 0.5 / delay.max_delay)
     via_delay = delay.max_delay * delay.total_power / power.total_power
     assert cap == pytest.approx(
         min(power.max_delay, via_delay) * (1.0 + solver.CAP_MARGIN), rel=1e-12
@@ -273,10 +272,9 @@ def capped_corpus():
 def test_joint_weights_capped_path_matches_oracle(capped_corpus):
     # Every oracle seed with T* > 0: the capped delay pre-solve finds T* and
     # the capped joint solve the joint optimum that brute_force finds.
-    delay_only = make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
     for seed, s, ls, tb, _power, w, cap in capped_corpus:
         assert 0.5 / w.w_delay == pytest.approx(
-            brute_force(s, ls, tb, delay_only).max_delay, rel=1e-9
+            brute_force(s, ls, tb, DELAY).max_delay, rel=1e-9
         ), f"seed {seed}"
         joint = solve(s, ls, tb, w, delay_cap=cap)
         assert joint.status == "optimal"
@@ -447,8 +445,7 @@ def test_delay_only_matches_oracle(seed):
     # unscaled solve stops at a route up to 0.04 us slower than the optimum.
     s = random_oracle_instance(seed)
     ls, tb = _ctx(s)
-    w = make_weights(ObjectivePreset.CUSTOM, custom=(0.0, 1.0))
-    a = solve(s, ls, tb, w)
-    b = brute_force(s, ls, tb, w)
+    a = solve(s, ls, tb, DELAY)
+    b = brute_force(s, ls, tb, DELAY)
     assert a.status == b.status == "optimal"
     assert a.max_delay == pytest.approx(b.max_delay, rel=1e-9)
