@@ -1,8 +1,8 @@
 """Run a reduced demand sweep (three demand sizes, all settings, both
 objectives) and print the sweep CSV plus the four comparison metrics.
 
-The full six-point sweep takes about 20 seconds on one thread; this reduced
-one finishes in about 6 seconds on a 2-core machine.
+On a 2-core machine the full six-point sweep takes about 8 seconds on one
+thread, and this reduced one about 2.5 seconds.
 Run:  python3 demos/sweep_small.py
 """
 

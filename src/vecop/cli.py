@@ -168,6 +168,8 @@ def _result_document(scenario, preset, result, limits) -> str:
         "stats": {
             "nodes_explored": result.stats.nodes_explored,
             "wall_time_s": result.stats.wall_time,
+            "mip_gap": result.stats.mip_gap,
+            "mip_dual_bound": result.stats.mip_dual_bound,
         },
     }
     if result.status == "optimal":

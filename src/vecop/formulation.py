@@ -130,6 +130,10 @@ class Allocation:
 class SolverStats:
     nodes_explored: int = 0
     wall_time: float = 0.0
+    # HiGHS's relative gap and dual bound (in the weights' units) at its
+    # exit; None where HiGHS gave none (proved infeasible, or not run).
+    mip_gap: Optional[float] = None
+    mip_dual_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -216,26 +220,44 @@ def _pps(demand: DemandSpec, scenario: Scenario) -> float:
     return delaymodel.packets_per_second(demand.traffic * 1000.0, scenario.settings.packet_size)
 
 
+def _carries(link: Link, tables: dict[str, DelayTable], pps: float) -> bool:
+    """Whether a stream of `pps` packets/s fits under the link's rho_max * mu."""
+    # The margin keeps a rate on the cap, up to float dust, in.
+    return pps <= tables[link.id].arrival_bounds[-1] * (1.0 + 1e-9)
+
+
+def _floor_delay(link: Link, tables: dict[str, DelayTable], pps: float) -> float:
+    """Least delay the link adds to a path of a stream of `pps` packets/s:
+    propagation plus transmission plus the queue delay at the stream's own
+    rate (a link that carries it has at least that rate)."""
+    return link.prop_delay + link.tx_delay_per_packet + delaymodel.lookup(tables[link.id], pps)
+
+
 def _floor_distances(
     links: list[Link], weight: dict[str, float], start: str, into: bool
-) -> dict[str, float]:
+) -> tuple[dict[str, float], dict[str, Link]]:
     """Dijkstra over `links`: the least total weight from `start` to every
-    node it reaches, or, with `into`, from every node that reaches `start`."""
-    adjacent: dict[str, list[tuple[str, float]]] = {}
+    node it reaches, or, with `into`, from every node that reaches `start`;
+    and each reached node's last link on such a path (the link it leaves
+    by, with `into`)."""
+    adjacent: dict[str, list[tuple[str, Link]]] = {}
     for link in links:
         u, v = (link.rx_node, link.tx_node) if into else (link.tx_node, link.rx_node)
-        adjacent.setdefault(u, []).append((v, weight[link.id]))
+        adjacent.setdefault(u, []).append((v, link))
     dist = {start: 0.0}
+    via: dict[str, Link] = {}
     heap = [(0.0, start)]
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
-        for v, w in adjacent.get(u, ()):
-            if du + w < dist.get(v, math.inf):
-                dist[v] = du + w
-                heapq.heappush(heap, (du + w, v))
-    return dist
+        for v, link in adjacent.get(u, ()):
+            dv = du + weight[link.id]
+            if dv < dist.get(v, math.inf):
+                dist[v] = dv
+                via[v] = link
+                heapq.heappush(heap, (dv, v))
+    return dist, via
 
 
 def stream_links(
@@ -249,10 +271,9 @@ def stream_links(
     Starts from the stream's route_links and drops every link whose
     rho_max * mu is below the stream's own packet rate (C7_load forbids it).
     Under a `delay_cap` (seconds) it also drops every link l for which
-    fwd(l.tx) + w_l + bwd(l.rx) exceeds the cap: w_l is the link's floor
-    delay, propagation plus transmission plus the queue delay at the
-    stream's own rate (a link that carries it has at least that rate), and
-    fwd/bwd are the least floor delays from the source and into the target.
+    fwd(l.tx) + w_l + bwd(l.rx) exceeds the cap: w_l is the link's
+    _floor_delay at the stream's rate, and fwd/bwd are the least floor
+    delays from the source and into the target.
     No path through such a link fits under the cap, and C9 holds every
     served path's delay under T, which the cap bounds.
     """
@@ -263,21 +284,13 @@ def stream_links(
         for n in eligible:
             if n == d.source:
                 continue
-            # The margin keeps a rate on the rho_max cap, up to float dust, in.
             links = [
-                link
-                for link in route_links(linkset, d.source, n)
-                if pps <= tables[link.id].arrival_bounds[-1] * (1.0 + 1e-9)
+                link for link in route_links(linkset, d.source, n) if _carries(link, tables, pps)
             ]
             if delay_cap is not None:
-                weight = {
-                    link.id: link.prop_delay
-                    + link.tx_delay_per_packet
-                    + delaymodel.lookup(tables[link.id], pps)
-                    for link in links
-                }
-                fwd = _floor_distances(links, weight, d.source, into=False)
-                bwd = _floor_distances(links, weight, n, into=True)
+                weight = {link.id: _floor_delay(link, tables, pps) for link in links}
+                fwd, _ = _floor_distances(links, weight, d.source, into=False)
+                bwd, _ = _floor_distances(links, weight, n, into=True)
                 links = [
                     link
                     for link in links

@@ -37,6 +37,10 @@ from .formulation import (
     MilpModel,
     SolveResult,
     SolverStats,
+    _carries,
+    _floor_delay,
+    _floor_distances,
+    _pps,
     evaluate,
     formulate,
 )
@@ -355,8 +359,8 @@ def solve(
     # 3e-4) would lose better allocations within that gap, so its costs are
     # scaled up to OBJECTIVE_PEAK; the reported numbers come from evaluate().
     peak = np.abs(c).max(initial=0.0)
-    if 0.0 < peak < OBJECTIVE_PEAK:
-        c = c * (OBJECTIVE_PEAK / peak)
+    scale = OBJECTIVE_PEAK / peak if 0.0 < peak < OBJECTIVE_PEAK else 1.0
+    c = c * scale
     with _stdout_to_stderr():
         res = milp(
             c,
@@ -366,7 +370,13 @@ def solve(
             options={"mip_rel_gap": 0.0, "presolve": True},
         )
     wall = time.perf_counter() - start
-    stats = SolverStats(nodes_explored=int(getattr(res, "mip_node_count", 0) or 0), wall_time=wall)
+    gap, bound = res.get("mip_gap"), res.get("mip_dual_bound")
+    stats = SolverStats(
+        nodes_explored=int(res.get("mip_node_count") or 0),
+        wall_time=wall,
+        mip_gap=None if gap is None else float(gap),
+        mip_dual_bound=None if bound is None else float(bound) / scale,
+    )
     if res.status == 2:
         if delay_cap is not None:
             raise SolverError(
@@ -385,6 +395,59 @@ def solve(
     return replace(evaluate(scenario, linkset, tables, allocation, weights), stats=stats)
 
 
+def _nearest_allocation(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+) -> Optional[SolveResult]:
+    """A feasible allocation to cap the delay-only solve by, scored at
+    weights (0, 1), or None.
+
+    Serves the eligible nodes nearest the source by floor delay (ties by
+    node id), as few as cover the load, each on its floor-shortest path over
+    the links that carry the stream, split by greedy_split. None for
+    several demands, when the reachable eligible nodes cannot cover the
+    load, or when the allocation breaks a shared budget.
+    """
+    if len(scenario.demands) != 1:
+        return None
+    (demand,) = scenario.demands
+    pps = _pps(demand, scenario)
+    links = [link for link in linkset.links if _carries(link, tables, pps)]
+    weight = {link.id: _floor_delay(link, tables, pps) for link in links}
+    dist, via = _floor_distances(links, weight, demand.source, into=False)
+    serving: list[str] = []
+    capacity = 0.0
+    for n in sorted(eligible_processors(scenario), key=lambda n: (dist.get(n, np.inf), n)):
+        if n not in dist:
+            return None
+        serving.append(n)
+        capacity += scenario.node(n).processor.capacity
+        if (demand.load or 0.0) <= capacity * (1.0 + CAPACITY_TOL):
+            break
+    else:
+        return None
+    routes = {}
+    for n in serving:
+        route: list[str] = []
+        at = n
+        while at != demand.source:
+            route.append(via[at].id)
+            at = via[at].tx_node
+        routes[n] = tuple(reversed(route))
+    allocation = Allocation(
+        demands={
+            demand.id: DemandAllocation(
+                serving=tuple(sorted(serving)),
+                fractions=greedy_split(serving, demand, scenario),
+                routes=routes,
+            )
+        }
+    )
+    try:
+        return evaluate(scenario, linkset, tables, allocation, ObjectiveWeights(0.0, 1.0))
+    except AllocationError:
+        return None
+
+
 def joint_weights(
     scenario: Scenario,
     linkset: LinkSet,
@@ -396,7 +459,9 @@ def joint_weights(
     `power`, and a cap on the joint optimum's max delay to solve them under.
 
     Normalizes by P* = power.total_power and by T* from a delay-only solve,
-    which runs under the power-only allocation's delay T_p: T* is no worse.
+    which runs under the smaller of two feasible allocations' delays, so T*
+    is no worse: T_p of the power-only allocation and T_h of
+    _nearest_allocation.
     The joint optimum o scores no worse than either reference allocation r,
     w_power P_o + w_delay T_o <= w_power P_r + w_delay T_r, and P_o >= P*, so
     T_o <= T_r + w_power (P_r - P*) / w_delay: T_p for the power-only
@@ -414,9 +479,13 @@ def joint_weights(
     t_power = power.max_delay
     if t_power == 0.0:
         return POWER_WEIGHTS, None
+    pre_cap = t_power
+    nearest = _nearest_allocation(scenario, linkset, tables)
+    if nearest is not None:
+        pre_cap = min(pre_cap, nearest.max_delay)
     delay = solve(
         scenario, linkset, tables, ObjectiveWeights(0.0, 1.0),
-        limits, delay_cap=t_power * (1.0 + CAP_MARGIN),
+        limits, delay_cap=pre_cap * (1.0 + CAP_MARGIN),
     )
     t_star = delay.max_delay
     if t_star == 0.0:

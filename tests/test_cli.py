@@ -122,6 +122,9 @@ def test_solve_power(tiny_scenario_path, tmp_path):
     assert doc["total_power_w"] == pytest.approx(7.5, abs=1e-9)
     assert doc["allocation"]["d1"]["serving"] == ["v1"]
     assert "scenario_hash" in doc["provenance"]
+    # HiGHS's certificate, its dual bound back in watts.
+    assert doc["stats"]["mip_gap"] == 0.0
+    assert doc["stats"]["mip_dual_bound"] == pytest.approx(7.5, rel=1e-9)
 
 
 def test_solve_provenance_matches_sweep_header(tiny_scenario_path, tmp_path):

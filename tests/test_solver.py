@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from vecop import delaymodel, linkmodel, solver
+from vecop import delaymodel, harness, linkmodel, solver
 from vecop.formulation import evaluate, route_links, stream_links
 from vecop.scenario import (
     POWER_WEIGHTS,
@@ -253,6 +253,61 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     )
 
 
+def _pre_solve_caps(monkeypatch, s, ls, tb, power):
+    """The delay caps of the delay-only solves joint_weights runs, and the
+    results of those solves."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if args[3].w_power == 0.0:
+            calls.append((kwargs["delay_cap"], result))
+        return result
+
+    monkeypatch.setattr(solver, "solve", recorded)
+    joint_weights(s, ls, tb, power)
+    monkeypatch.undo()
+    return calls
+
+
+# At 2000 kbps the nearest allocation serves two remote vehicles, each
+# reached over its own first hop.
+@pytest.mark.parametrize("kbps", [1000.0, 2000.0])
+def test_joint_weights_cap_the_pre_solve_by_the_nearest_allocation(
+    default_scenario, kbps, monkeypatch
+):
+    # Lot 42, vehicles only: the nearest allocation's delay T_h is below T_p,
+    # so it caps the one delay-only pre-solve.
+    s = harness._with_demand(default_scenario, kbps, ProcessingSetting.VEHICLES_ONLY)
+    ls, tb = _ctx(s)
+    power = solve(s, ls, tb, POWER)
+    nearest = solver._nearest_allocation(s, ls, tb)
+    [(cap, _delay)] = _pre_solve_caps(monkeypatch, s, ls, tb, power)
+    assert cap == nearest.max_delay * (1.0 + solver.CAP_MARGIN)
+    assert cap < power.max_delay * (1.0 + solver.CAP_MARGIN)
+
+
+def test_joint_weights_cap_several_demands_by_the_power_only_delay(monkeypatch):
+    s = two_demand_scenario()
+    ls, tb = _ctx(s)
+    power = solve(s, ls, tb, POWER)
+    assert solver._nearest_allocation(s, ls, tb) is None
+    [(cap, _delay)] = _pre_solve_caps(monkeypatch, s, ls, tb, power)
+    assert cap == power.max_delay * (1.0 + solver.CAP_MARGIN)
+
+
+def test_capped_pre_solves_report_a_zero_gap(default_scenario, monkeypatch):
+    # HiGHS's certificate of each capped delay-only pre-solve on lot 42: no
+    # gap, and its dual bound, unscaled, is T*.
+    for kbps in (1000.0, 2000.0, 3000.0):
+        for setting in ProcessingSetting:
+            s = harness._with_demand(default_scenario, kbps, setting)
+            ls, tb = _ctx(s)
+            [(_cap, delay)] = _pre_solve_caps(monkeypatch, s, ls, tb, solve(s, ls, tb, POWER))
+            assert delay.stats.mip_gap == 0.0, (kbps, setting)
+            assert delay.stats.mip_dual_bound == pytest.approx(delay.max_delay, rel=1e-6)
+
+
 @pytest.fixture(scope="module")
 def capped_corpus():
     """Every oracle seed with T* > 0: the instance, its power-only result and
@@ -270,12 +325,16 @@ def capped_corpus():
 
 
 def test_joint_weights_capped_path_matches_oracle(capped_corpus):
-    # Every oracle seed with T* > 0: the capped delay pre-solve finds T* and
-    # the capped joint solve the joint optimum that brute_force finds.
+    # Every oracle seed with T* > 0: the nearest allocation is feasible and
+    # no faster than T*, the capped delay pre-solve finds T* and the capped
+    # joint solve the joint optimum that brute_force finds.
     for seed, s, ls, tb, _power, w, cap in capped_corpus:
-        assert 0.5 / w.w_delay == pytest.approx(
-            brute_force(s, ls, tb, DELAY).max_delay, rel=1e-9
-        ), f"seed {seed}"
+        t_star = brute_force(s, ls, tb, DELAY).max_delay
+        nearest = solver._nearest_allocation(s, ls, tb)
+        assert nearest is not None, f"seed {seed}"
+        assert evaluate(s, ls, tb, nearest.allocation, DELAY).max_delay == nearest.max_delay
+        assert nearest.max_delay >= t_star, f"seed {seed}"
+        assert 0.5 / w.w_delay == pytest.approx(t_star, rel=1e-9), f"seed {seed}"
         joint = solve(s, ls, tb, w, delay_cap=cap)
         assert joint.status == "optimal"
         assert joint.max_delay <= cap
@@ -285,9 +344,10 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
 
 
 def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
-    # The delay-only pre-solve runs under T_p, the joint solve under the
-    # joint cap: every link of every simple path whose floor delay (queues
-    # at the stream's own rate) fits a cap stays in that stream's arc set.
+    # Under T_p, which caps the delay-only pre-solve without a nearer
+    # allocation, and under the joint cap: every link of every simple path
+    # whose floor delay (queues at the stream's own rate) fits a cap stays
+    # in that stream's arc set.
     fitting = dropped = 0
     for seed, s, ls, tb, power, _w, joint_cap in capped_corpus:
         (d,) = s.demands
