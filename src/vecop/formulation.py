@@ -3,9 +3,10 @@ independent allocation evaluator.
 
 Decision structure: processing splits fractionally across serving nodes
 (x, y) while the data stream is replicated whole to every serving node over
-one simple path each (binary r). Queueing delay enters linearly through the
-per-link lookup-table bins (z) and a per-(demand, target, route link) gated
-copy (q) feeding the max-delay variable T.
+one simple path each (binary r). Queueing delay enters linearly through
+each link's integer lookup-table bin index (n), the secants of the table's
+convex delays (Q), and a per-(demand, target, route link) gated copy (q)
+feeding the max-delay variable T.
 
 The evaluator recomputes constraints, power and delay from first principles
 (powermodel/delaymodel) and shares no bookkeeping with the solver.
@@ -155,13 +156,14 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 BINARY = "binary"
+INTEGER = "integer"
 CONTINUOUS = "continuous"
 
 
 @dataclass(frozen=True)
 class Variable:
     name: str
-    kind: str  # BINARY | CONTINUOUS
+    kind: str  # BINARY | INTEGER | CONTINUOUS
     lower: float = 0.0
     upper: Optional[float] = None  # None = +inf
 
@@ -317,7 +319,8 @@ def formulate(
       C5b shared AP cell budget, C5c per-interface aggregate budget,
       C6 traffic-driven activation (one row per stream, side and device:
       the stream's route links out of, or into, the device sum to at most
-      its activation), C7 queue stability and bin selection,
+      its activation), C7 queue stability and queue delay (one
+      C7_load row and one C7_queue secant row per step between kept bins),
       C8 queue-on-path gating, C9 max-delay epigraph.
 
     Each (demand, remote target) stream gets routing variables only on its
@@ -329,16 +332,23 @@ def formulate(
     w_delay * DELAY_UNIT * T, so the objective value stays in the weights'
     units.
 
-    At zero delay weight the queue-bin machinery (z, Q, q, T; C7 bin
-    selection, C8, C9) is left out and C7_load is the plain stability cap:
-    the delay variables would be unconstrained by the objective there and
-    only inflate the search space.
+    With a delay weight each link's queue delay is exact through one
+    integer bin index n in [1, K], K the link's kept bins (reachable_bins):
+    C7_load covers the link's arrival rate by n equal bins, and Q lies on or
+    above each secant of consecutive kept bins' delays. Those delays are
+    convex in the bin, so at an integer n the secants' upper envelope is bin
+    n's table delay.
+
+    At zero delay weight the queue-bin machinery (n, Q, q, T; C7_queue, C8,
+    C9) is left out and C7_load is the plain stability cap: the delay
+    variables would be unconstrained by the objective there and only
+    inflate the search space.
 
     `delay_cap` (seconds), when given with a delay weight, is a known upper
     bound on the optimum's max delay: it bounds T, drops every stream's
     links that no path under it can use (stream_links) and trims every
-    link's bins to those reachable_bins keeps under it, which also shrinks
-    the Q bound and the C8 big-M.
+    link's bins to those reachable_bins keeps under it, which also lowers
+    the bound of n, the Q bound and the C8 big-M, and drops C7_queue rows.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -374,16 +384,19 @@ def formulate(
     cap = delay_cap if with_delay else None
     routes = stream_links(scenario, linkset, tables, cap)
 
-    # Queue bin variables per link, up to the bin of its largest reachable
-    # arrival rate.
-    z: dict[str, list[str]] = {}
+    # Queue bin index per link, up to the bin of its largest reachable
+    # arrival rate, and the bin's delay.
+    n_bin: dict[str, str] = {}
     q_link: dict[str, str] = {}
     top = reachable_bins(scenario, linkset, tables, routes, cap) if with_delay else {}
     if with_delay:
         for link in linkset.links:
             table, k_top = tables[link.id], top[link.id]
-            z[link.id] = [var(f"z_{link.id}_k{k + 1}", BINARY) for k in range(k_top + 1)]
-            q_link[link.id] = var(f"Q_{link.id}", CONTINUOUS, 0.0, table.delays[k_top] / DELAY_UNIT)
+            n_bin[link.id] = var(f"n_{link.id}", INTEGER, 1.0, k_top + 1.0)
+            q_link[link.id] = var(
+                f"Q_{link.id}", CONTINUOUS,
+                table.delays[0] / DELAY_UNIT, table.delays[k_top] / DELAY_UNIT,
+            )
         t_var = var("T", CONTINUOUS, 0.0, None if delay_cap is None else delay_cap / DELAY_UNIT)
 
     x: dict[tuple[str, str], str] = {}
@@ -472,7 +485,8 @@ def formulate(
                 con(f"C6_act_{_nm(d.id)}_{_nm(n)}_{side}_{_nm(dev)}", coeffs, "<=", 0.0)
 
     # C7: the arrival rate stays under rho_max * mu, and with delay it is
-    # covered by the one selected bin whose delay Q carries.
+    # covered by n bins of the first bin's width. Q lies on or above every
+    # secant of consecutive kept bins' delays, at an integer n bin n's delay.
     for link in linkset.links:
         table = tables[link.id]
         load = {
@@ -482,14 +496,16 @@ def formulate(
             if load:
                 con(f"C7_load_{link.id}", load, "<=", table.arrival_bounds[-1])
             continue
-        con(f"C7_onebin_{link.id}", {zv: 1.0 for zv in z[link.id]}, "=", 1.0)
-        for k, zv in enumerate(z[link.id]):
-            load[zv] = -table.arrival_bounds[k]
+        load[n_bin[link.id]] = -table.arrival_bounds[0]
         con(f"C7_load_{link.id}", load, "<=", 0.0)
-        qdef = {q_link[link.id]: -1.0}
-        for k, zv in enumerate(z[link.id]):
-            qdef[zv] = table.delays[k] / DELAY_UNIT
-        con(f"C7_qdef_{link.id}", qdef, "=", 0.0)
+        for k in range(1, top[link.id] + 1):
+            low, high = table.delays[k - 1] / DELAY_UNIT, table.delays[k] / DELAY_UNIT
+            con(
+                f"C7_queue_{link.id}_k{k}",
+                {q_link[link.id]: 1.0, n_bin[link.id]: low - high},
+                ">=",
+                low - (high - low) * k,
+            )
 
     if with_delay:
         # C8: q_{d,n,l} >= Q_l - M_l (1 - r); M_l is the link's largest
@@ -555,10 +571,11 @@ def reachable_bins(
     streams: dict[tuple[DemandSpec, str], list[Link]],
     delay_cap: Optional[float] = None,
 ) -> dict[str, int]:
-    """Index of the highest queue bin each link can reach, given the arc
-    set of every stream (stream_links): the bin of the summed packet rate of
-    the streams whose set holds the link, at most rho_max * mu (the last
-    bin). Higher bins could only raise the delay.
+    """Index (from 0) of the highest queue bin each link can reach, given
+    the arc set of every stream (stream_links): the bin of the summed packet
+    rate of the streams whose set holds the link, at most rho_max * mu (the
+    last bin). Higher bins could only raise the delay. formulate() keeps
+    bins 0..top of each link: its bin index n ranges over 1..top + 1.
 
     Under a `delay_cap` (seconds) a bin is kept only if its delay plus the
     link's propagation and transmission delay fits under the cap: a link
@@ -598,15 +615,14 @@ def model_census_formula(
 ) -> dict[str, int]:
     """Closed-form variable/constraint counts, given the stream_links of
     each stream, of the delay-weighted model (w_delay != 0), which carries
-    the queue-bin machinery, under `delay_cap` as formulate() takes it."""
+    the queue-bin machinery, under `delay_cap` as formulate() takes it.
+    `binaries` leaves out the integer bin indexes n."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
     n_count = len(eligible)
     link_count = len(linkset.links)
     streams = stream_links(scenario, linkset, tables, delay_cap)
-    bins = sum(
-        k + 1 for k in reachable_bins(scenario, linkset, tables, streams, delay_cap).values()
-    )
+    steps = sum(reachable_bins(scenario, linkset, tables, streams, delay_cap).values())
     specs = powermodel.device_specs(scenario)
     dev_count = len(specs)
     routes = [(d.source, n, links) for (d, n), links in streams.items()]
@@ -615,12 +631,12 @@ def model_census_formula(
 
     variables = (
         dev_count  # a
-        + bins + link_count  # z, Q
+        + 2 * link_count  # n, Q
         + 1  # T
         + 2 * d_count * n_count  # x, y
         + 2 * len(arcs)  # r, q
     )
-    binaries = dev_count + bins + d_count * n_count + len(arcs)
+    binaries = dev_count + d_count * n_count + len(arcs)
 
     cells = sum(
         1 for e in scenario.edges() if any(l.id in used for l in linkset.cell_links(e.id))
@@ -642,7 +658,7 @@ def model_census_formula(
             + len({l.rx_device for l in links} & specs.keys())
             for _s, _n, links in routes
         )
-        + 3 * link_count  # C7
+        + link_count + steps  # C7 load, queue secants
         + len(arcs)  # C8
         + len(routes)  # C9
     )

@@ -76,7 +76,6 @@ class SweepRow:
     objective_value: float = 0.0
     w_power: float = 0.0
     w_delay: float = 0.0
-    nodes_explored: int = 0
     infeasible_reason: str = ""
 
 
@@ -184,7 +183,6 @@ def _solve_cell(
                 objective_value=result.objective_value,
                 w_power=result.weights.w_power,
                 w_delay=result.weights.w_delay,
-                nodes_explored=result.stats.nodes_explored,
                 infeasible_reason=result.infeasible_reason,
             )
         )

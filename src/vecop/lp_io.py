@@ -3,8 +3,8 @@
 The writer is canonical (terms sorted by variable name, repr float
 formatting) so export -> read -> export is byte-stable. The reader accepts
 the dialect the writer produces plus the common section spellings
-("Subject To" / "st", "Binaries" / "Binary", "General(s)"). A MilpModel is
-always minimized, so the reader rejects a "Maximize" section.
+("Subject To" / "st", "Binaries" / "Binary", "Generals" / "General"). A
+MilpModel is always minimized, so the reader rejects a "Maximize" section.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 
-from .formulation import BINARY, CONTINUOUS, Constraint, MilpModel, Variable
+from .formulation import BINARY, CONTINUOUS, INTEGER, Constraint, MilpModel, Variable
 
 _TOKEN_RE = re.compile(
     r"<=|>=|=|\+|-|:"
@@ -70,11 +70,12 @@ def export_lp(model: MilpModel) -> str:
                 lines.append(f" {v.name} >= {_fmt(v.lower)}")
         else:
             lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for i in range(0, len(binaries), 8):
-            lines.append(" " + " ".join(binaries[i : i + 8]))
+    for section, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        names = [v.name for v in model.variables if v.kind == kind]
+        if names:
+            lines.append(section)
+            for i in range(0, len(names), 8):
+                lines.append(" " + " ".join(names[i : i + 8]))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -138,7 +139,7 @@ def read_lp(text: str) -> MilpModel:
     objective: dict[str, float] = {}
     constraints: list[Constraint] = []
     bounds: dict[str, tuple[float, float | None]] = {}
-    binaries: list[str] = []
+    kinds: dict[str, str] = {}
     order: list[str] = []
     seen: set[str] = set()
 
@@ -235,22 +236,22 @@ def read_lp(text: str) -> MilpModel:
                 raise LpParseError(line_no, f"unrecognized bounds line: {raw.strip()!r}")
         elif section in ("binaries", "generals"):
             names = line.split()
-            if section == "binaries":
-                binaries.extend(names)
+            for name in names:
+                kinds[name] = BINARY if section == "binaries" else INTEGER
             note(names)
         else:
             raise LpParseError(line_no, "content before the objective section")
     if section == "constraints":
         flush_constraint()
 
-    binary_set = set(binaries)
     variables = []
     for name in order:
-        if name in binary_set:
+        kind = kinds.get(name, CONTINUOUS)
+        if kind == BINARY:
             variables.append(Variable(name, BINARY, 0.0, 1.0))
         else:
             lo, up = bounds.get(name, (0.0, None))
-            variables.append(Variable(name, CONTINUOUS, lo, up))
+            variables.append(Variable(name, kind, lo, up))
     return MilpModel(tuple(variables), tuple(constraints), objective, {})
 
 

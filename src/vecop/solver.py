@@ -30,7 +30,7 @@ from scipy.sparse import coo_matrix
 
 from .delaymodel import DelayTable
 from .formulation import (
-    BINARY,
+    CONTINUOUS,
     Allocation,
     AllocationError,
     DemandAllocation,
@@ -225,7 +225,7 @@ def _to_arrays(model: MilpModel):
     c = np.zeros(n)
     for name, coef in model.objective.items():
         c[index[name]] = coef
-    integrality = np.array([1 if v.kind == BINARY else 0 for v in model.variables])
+    integrality = np.array([0 if v.kind == CONTINUOUS else 1 for v in model.variables])
     lower = np.array([v.lower for v in model.variables])
     upper = np.array([v.upper if v.upper is not None else np.inf for v in model.variables])
     rows, cols, vals, lo, hi = [], [], [], [], []

@@ -9,6 +9,7 @@ import random
 import statistics
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,10 @@ from vecop.scenario import (
 )
 
 from conftest import random_oracle_instance
+
+# The default sweep's canonical CSV (lot 42, one thread), as
+# harness.table_to_csv writes it.
+GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "default_sweep.csv"
 
 PO = ObjectivePreset.POWER_ONLY
 JE = ObjectivePreset.JOINT_EQUAL
@@ -275,3 +280,10 @@ def test_criterion_9_sweep_determinism(capsys, default_sweep):
     with verdict(capsys, 9, "1-thread and 4-thread sweeps byte-identical"):
         table_threaded = harness.sweep(generate_default(42), threads=4)
         assert table_to_csv(table_threaded) == table_to_csv(table_serial)
+
+
+def test_default_sweep_matches_golden(default_sweep):
+    """Every number of the default sweep, pinned byte for byte: a model
+    change that moves any optimum, or its tie-break, shows here."""
+    table, _collected, _wall = default_sweep
+    assert table_to_csv(table).encode() == GOLDEN_SWEEP.read_bytes()

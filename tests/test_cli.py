@@ -449,6 +449,7 @@ def test_sweep_json(tiny_scenario_path, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["rows"][0]["status"] == "optimal"
+    assert "nodes_explored" not in doc["rows"][0]
     assert doc["metadata"]["demands_kbps"] == [400.0]
 
 

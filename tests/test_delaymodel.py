@@ -121,6 +121,35 @@ def test_lookup_monotone_in_arrival(mu, bins, f1, f2):
     assert lookup(table, lo * top) <= lookup(table, hi * top)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(min_value=10.0, max_value=1e6),
+    rho=st.floats(min_value=0.05, max_value=0.99),
+    bins=st.integers(min_value=2, max_value=128),
+    kept=st.integers(min_value=1, max_value=128),
+)
+def test_secants_give_each_bins_delay(mu, rho, bins, kept):
+    """The model's queue encoding (formulation C7_load, C7_queue) rests on
+    two properties of a table: bin k's upper bound is k times the first
+    bin's, so one integer bin index n covers an arrival rate by n * b_1; and
+    at every bin index the largest secant of consecutive bins, over the kept
+    bins 1..K, is that bin's delay."""
+    table = build_table(QueueSpec("q", mu, rho), bins)
+    bounds, delays = table.arrival_bounds, table.delays
+    for k, b in enumerate(bounds):
+        assert b == pytest.approx((k + 1) * bounds[0], rel=1e-12, abs=0.0)
+    top = min(kept, bins)
+    for n in range(1, top + 1):
+        envelope = max(
+            [delays[0]]
+            + [
+                delays[k - 1] + (delays[k] - delays[k - 1]) * (n - k)
+                for k in range(1, top)
+            ]
+        )
+        assert envelope == pytest.approx(delays[n - 1], rel=1e-12, abs=0.0)
+
+
 def test_build_tables_default(default_scenario, default_linkset, default_tables):
     assert set(default_tables) == {l.id for l in default_linkset.links}
     for l in default_linkset.links:

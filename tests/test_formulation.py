@@ -9,6 +9,7 @@ from scipy.optimize import milp
 from vecop import delaymodel, linkmodel
 from vecop.formulation import (
     DELAY_UNIT,
+    INTEGER,
     Allocation,
     AllocationError,
     Constraint,
@@ -83,13 +84,22 @@ def _stream_counts(streams, linkset):
     return held
 
 
+def _queue_steps(model, link_id):
+    """The k of the link's C7_queue_<link>_k<k> secant rows, ascending."""
+    prefix = f"C7_queue_{link_id}_k"
+    return sorted(int(c.name[len(prefix):]) for c in model.constraints
+                  if c.name.startswith(prefix))
+
+
 def test_reachable_bins_hold_the_largest_arrival_rate(
     default_model, default_scenario, default_linkset, default_tables
 ):
     # Default lot: one demand, 9 remote targets (7 vehicles, 2 edges); every
     # link keeps exactly the bins up to the one its peak rate falls into:
     # one stream rate per target whose route links hold the link (nothing
-    # is dropped at 1000 kbps without a cap), at most rho_max * mu.
+    # is dropped at 1000 kbps without a cap), at most rho_max * mu. The
+    # kept-bin count is the upper bound of the link's bin index n, which
+    # has one C7_queue secant row per step between kept bins.
     (d,) = default_scenario.demands
     pps = delaymodel.packets_per_second(d.traffic * 1000.0, 1500.0)
     targets = sorted(eligible_processors(default_scenario) - {d.source})
@@ -100,14 +110,19 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
     streams = stream_links(default_scenario, default_linkset, default_tables)
     assert _stream_counts(streams, default_linkset) == held
     top = reachable_bins(default_scenario, default_linkset, default_tables, streams)
-    kept = {v.name for v in default_model.variables if v.name.startswith("z_")}
-    assert len(kept) == sum(k + 1 for k in top.values()) < 64 * len(default_linkset.links)
+    variables = {v.name: v for v in default_model.variables}
+    index = {n: v for n, v in variables.items() if n.startswith("n_")}
+    assert len(index) == len(default_linkset.links)
+    assert all(v.kind == INTEGER and v.lower == 1.0 for v in index.values())
+    kept = sum(v.upper for v in index.values())
+    assert kept == sum(k + 1 for k in top.values()) < 64 * len(default_linkset.links)
     below_all = 0
     for link in default_linkset.links:
         table, k = default_tables[link.id], top[link.id]
         peak = min(held[link.id] * pps, table.arrival_bounds[-1])
         assert delaymodel.lookup(table, peak) == table.delays[k]
-        assert f"z_{link.id}_k{k + 1}" in kept and f"z_{link.id}_k{k + 2}" not in kept
+        assert variables[f"n_{link.id}"].upper == k + 1
+        assert _queue_steps(default_model, link.id) == list(range(1, k + 1))
         below_all += k < bisect.bisect_left(table.arrival_bounds, len(targets) * pps)
     # Counting the streams per link, not every remote stream, lowers some
     # links' top bin (links into the source carry no stream at all).
@@ -157,11 +172,12 @@ def test_delay_cap_bounds_t_and_trims_bins(default_scenario, default_linkset, de
             k for k, q in enumerate(table.delays[: reach + 1])
             if link.prop_delay + link.tx_delay_per_packet + q <= cap
         ]
-        kept = sorted(int(n.rsplit("_k", 1)[1]) - 1 for n in variables
-                      if n.startswith(f"z_{link.id}_k"))
+        kept = list(range(int(variables[f"n_{link.id}"].upper)))
         assert kept == sorted(set(fits) | {0}), link.id
+        assert _queue_steps(model, link.id) == kept[1:], link.id
         partly += 0 < len(fits) < reach + 1
         top = table.delays[kept[-1]] / DELAY_UNIT
+        assert variables[f"Q_{link.id}"].lower == table.delays[0] / DELAY_UNIT
         assert variables[f"Q_{link.id}"].upper == top
         big_ms = _big_ms(model, link.id)
         assert all(m == top for m in big_ms), link.id
@@ -219,22 +235,48 @@ def test_trim_drops_delay_machinery(default_scenario, default_linkset, default_t
     trimmed = formulate(default_scenario, default_linkset, default_tables, POWER)
     names = {v.name for v in trimmed.variables}
     assert "T" not in names
-    assert not any(n.startswith("z_") or n.startswith("Q_") for n in names)
+    assert not any(n.startswith("n_") or n.startswith("Q_") for n in names)
     prefixes = {c.name.split("_")[0] for c in trimmed.constraints}
     assert "C8" not in prefixes and "C9" not in prefixes
     # stability survives as a plain linear cap on the routing variables
     loads = [c for c in trimmed.constraints if c.name.startswith("C7_load_")]
     assert loads and all(all(v.startswith("r_") for v in c.coeffs) for c in loads)
-    assert _families(trimmed) & {"C7_onebin", "C7_qdef"} == set()
+    assert _families(trimmed) & {"C7_queue"} == set()
 
 
 def test_trim_ignored_with_delay_weight(default_scenario, default_linkset, default_tables):
     full = formulate(default_scenario, default_linkset, default_tables, JOINT)
     assert any(v.name == "T" for v in full.variables)
-    # with delay, C7_load bounds the arrival rate by the selected bin
+    # with delay, C7_load bounds the arrival rate by n bins of the link's
+    # first bin's width
     loads = [c for c in full.constraints if c.name.startswith("C7_load_")]
     assert len(loads) == len(default_linkset.links)
-    assert all(any(v.startswith("z_") for v in c.coeffs) for c in loads)
+    for c in loads:
+        link_id = c.name[len("C7_load_"):]
+        assert c.coeffs[f"n_{link_id}"] == -default_tables[link_id].arrival_bounds[0]
+        assert all(v.startswith("r_") for v in c.coeffs if v != f"n_{link_id}")
+
+
+def test_queue_rows_charge_each_bins_delay(default_scenario, default_linkset, default_tables):
+    # At every integer bin index n of a link, the least Q its C7_queue rows
+    # and bounds allow is bin n's table delay; with and without a cap.
+    for cap in (None, 1e-3):
+        model = formulate(default_scenario, default_linkset, default_tables, JOINT, cap)
+        variables = {v.name: v for v in model.variables}
+        rows: dict[str, list[Constraint]] = {}
+        for c in model.constraints:
+            if c.name.startswith("C7_queue_"):
+                rows.setdefault(c.name[len("C7_queue_"):].rsplit("_k", 1)[0], []).append(c)
+        for link in default_linkset.links:
+            n_var, q_var = variables[f"n_{link.id}"], variables[f"Q_{link.id}"]
+            delays = default_tables[link.id].delays
+            for n in range(1, int(n_var.upper) + 1):
+                least = max(
+                    [q_var.lower]
+                    + [c.rhs - c.coeffs[n_var.name] * n for c in rows.get(link.id, [])]
+                )
+                assert least == pytest.approx(delays[n - 1] / DELAY_UNIT, rel=1e-12), link.id
+            assert q_var.upper == delays[int(n_var.upper) - 1] / DELAY_UNIT
 
 
 def test_route_links_cover_every_simple_path():

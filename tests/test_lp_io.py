@@ -3,6 +3,7 @@ import pytest
 from vecop.formulation import (
     BINARY,
     CONTINUOUS,
+    INTEGER,
     Constraint,
     MilpModel,
     Variable,
@@ -21,11 +22,13 @@ def tiny_model():
             Variable("x1", CONTINUOUS, 0.0, 1.0),
             Variable("x2", CONTINUOUS, 0.0, None),
             Variable("b1", BINARY, 0.0, 1.0),
+            Variable("n1", INTEGER, 1.0, 4.0),
         ),
         constraints=(
             Constraint("c1", {"x1": 1.0, "x2": 2.0}, "<=", 3.0),
             Constraint("c2", {"x1": 1.0, "b1": -1.0}, ">=", -0.5),
             Constraint("c3", {"x2": 1.0}, "=", 0.25),
+            Constraint("c4", {"x2": 1.0, "n1": -0.5}, "<=", 0.0),
         ),
         objective={"x1": 1.5, "b1": 7.0},
     )
@@ -43,6 +46,7 @@ def test_export_is_canonical():
     assert text.startswith("Minimize\n obj: ")
     assert text.endswith("End\n")
     assert "Binaries" in text and "Bounds" in text
+    assert text.endswith("Generals\n n1\nEnd\n")
 
 
 @pytest.mark.parametrize("weights", [POWER, JOINT], ids=["power", "joint"])
@@ -76,6 +80,17 @@ def test_reader_accepts_alternate_spellings():
     assert m.constraints[1].rhs == -0.5
     kinds = {v.name: v.kind for v in m.variables}
     assert kinds["b1"] == BINARY and kinds["x1"] == CONTINUOUS
+
+
+def test_reader_reads_generals_as_integers():
+    m = read_lp(
+        "Minimize\n obj: x + n + m\nSubject To\n c1: x + n + m >= 1.5\n"
+        "Bounds\n 1 <= n <= 4\nGenerals\n n\nGeneral\n m\nEnd\n"
+    )
+    variables = {v.name: v for v in m.variables}
+    assert variables["n"] == Variable("n", INTEGER, 1.0, 4.0)
+    assert variables["m"] == Variable("m", INTEGER, 0.0, None)
+    assert variables["x"].kind == CONTINUOUS
 
 
 def test_reader_handles_multiline_constraints():
