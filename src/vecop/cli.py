@@ -156,9 +156,9 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _result_document(scenario, preset, result, limits) -> str:
+def _result_document(scenario, preset, result) -> str:
     doc = {
-        "provenance": harness.provenance(scenario, limits),
+        "provenance": harness.provenance(scenario),
         "status": result.status,
         "weights": {
             "preset": preset.value,
@@ -206,7 +206,7 @@ def _cmd_solve(args) -> int:
     result = solver.solve(scenario, linkset, tables, weights, limits)
     if preset == ObjectivePreset.JOINT_EQUAL:
         result = solver.solve_joint(scenario, linkset, tables, result, limits)
-    _write(_result_document(scenario, preset, result, limits), args.output)
+    _write(_result_document(scenario, preset, result), args.output)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
 
 

@@ -324,8 +324,14 @@ def formulate(
       C8 queue-on-path gating, C9 max-delay epigraph.
 
     Each (demand, remote target) stream gets routing variables only on its
-    stream_links. C7_load caps every link's arrival rate at rho_max * mu,
-    which keeps its traffic under the link capacity (rho_max < 1), so the
+    stream_links, and nothing else exists unless some stream can use it:
+    a link gets n, Q, C7_load and C7_queue only if some stream's arc set
+    holds it; a demand's targets, the only nodes with x, y, C2, C4_flow and
+    C9 (and terms in C1 and C3), are its source if eligible and the nodes
+    whose stream has an arc; a device gets its activation a only if a row
+    touches it (the cpu of a target, an endpoint of a held link).
+    C7_load caps every held link's arrival rate at rho_max * mu, which
+    keeps its traffic under the link capacity (rho_max < 1), so the
     per-link capacity C5a needs no row of its own.
 
     Delay variables are in DELAY_UNIT (microseconds); the objective term is
@@ -345,10 +351,9 @@ def formulate(
     inflate the search space.
 
     `delay_cap` (seconds), when given with a delay weight, is a known upper
-    bound on the optimum's max delay: it bounds T, drops every stream's
-    links that no path under it can use (stream_links) and trims every
-    link's bins to those reachable_bins keeps under it, which also lowers
-    the bound of n, the Q bound and the C8 big-M, and drops C7_queue rows.
+    bound on the optimum's max delay: it bounds T and drops every stream's
+    links that no path under it can use (stream_links). Through the arc
+    sets it may remove links, targets and devices, and lower the kept bins.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -376,21 +381,33 @@ def formulate(
         if coef != 0.0:
             objective[name] = objective.get(name, 0.0) + coef
 
-    # Activation variables, one per modeled device.
-    a = {dev: var(f"a_{_nm(dev)}", BINARY) for dev in sorted(specs)}
-
     # Arc set of every (demand, remote target) stream; a cap binds only a
-    # model that has T.
+    # model that has T. Only the links some stream holds, the targets a
+    # stream reaches and the devices their rows touch enter the model.
     cap = delay_cap if with_delay else None
-    routes = stream_links(scenario, linkset, tables, cap)
+    routes = {
+        stream: links
+        for stream, links in stream_links(scenario, linkset, tables, cap).items()
+        if links
+    }
+    held = {link.id for links in routes.values() for link in links}
+    used = [link for link in linkset.links if link.id in held]
+    targets = {
+        d.id: [n for n in eligible if n == d.source or (d, n) in routes] for d in scenario.demands
+    }
+    touched = {f"{n}.cpu" for ns in targets.values() for n in ns}
+    touched |= {dev for link in used for dev in (link.tx_device, link.rx_device)}
 
-    # Queue bin index per link, up to the bin of its largest reachable
+    # Activation variables, one per modeled device that a row touches.
+    a = {dev: var(f"a_{_nm(dev)}", BINARY) for dev in sorted(specs) if dev in touched}
+
+    # Queue bin index per used link, up to the bin of its largest reachable
     # arrival rate, and the bin's delay.
     n_bin: dict[str, str] = {}
     q_link: dict[str, str] = {}
-    top = reachable_bins(scenario, linkset, tables, routes, cap) if with_delay else {}
+    top = reachable_bins(scenario, linkset, tables, routes) if with_delay else {}
     if with_delay:
-        for link in linkset.links:
+        for link in used:
             table, k_top = tables[link.id], top[link.id]
             n_bin[link.id] = var(f"n_{link.id}", INTEGER, 1.0, k_top + 1.0)
             q_link[link.id] = var(
@@ -405,7 +422,7 @@ def formulate(
     q: dict[tuple[str, str, str], str] = {}
 
     for d in scenario.demands:
-        for n in eligible:
+        for n in targets[d.id]:
             x[d.id, n] = var(f"x_{_nm(d.id)}_{_nm(n)}", CONTINUOUS, 0.0, 1.0)
             y[d.id, n] = var(f"y_{_nm(d.id)}_{_nm(n)}", BINARY)
             if n != d.source:
@@ -424,8 +441,8 @@ def formulate(
 
     # C1 / C2 / C3.
     for d in scenario.demands:
-        con(f"C1_complete_{_nm(d.id)}", {x[d.id, n]: 1.0 for n in eligible}, "=", 1.0)
-        for n in eligible:
+        con(f"C1_complete_{_nm(d.id)}", {x[d.id, n]: 1.0 for n in targets[d.id]}, "=", 1.0)
+        for n in targets[d.id]:
             con(f"C2_xy_{_nm(d.id)}_{_nm(n)}", {x[d.id, n]: 1.0, y[d.id, n]: -1.0}, "<=", 0.0)
             con(
                 f"C2_ya_{_nm(d.id)}_{_nm(n)}",
@@ -434,8 +451,9 @@ def formulate(
                 0.0,
             )
     for n in eligible:
-        coeffs = {x[d.id, n]: (d.load or 0.0) for d in scenario.demands}
-        con(f"C3_cap_{_nm(n)}", coeffs, "<=", scenario.node(n).processor.capacity)
+        coeffs = {x[d.id, n]: (d.load or 0.0) for d in scenario.demands if (d.id, n) in x}
+        if coeffs:
+            con(f"C3_cap_{_nm(n)}", coeffs, "<=", scenario.node(n).processor.capacity)
 
     # C4: binary per-target flow conservation plus simple-path degree caps.
     for (d, n), links in routes.items():
@@ -487,14 +505,13 @@ def formulate(
     # C7: the arrival rate stays under rho_max * mu, and with delay it is
     # covered by n bins of the first bin's width. Q lies on or above every
     # secant of consecutive kept bins' delays, at an integer n bin n's delay.
-    for link in linkset.links:
+    for link in used:
         table = tables[link.id]
         load = {
             rv: delaymodel.packets_per_second(t, packet) for rv, t in carried[link.id].items()
         }
         if not with_delay:
-            if load:
-                con(f"C7_load_{link.id}", load, "<=", table.arrival_bounds[-1])
+            con(f"C7_load_{link.id}", load, "<=", table.arrival_bounds[-1])
             continue
         load[n_bin[link.id]] = -table.arrival_bounds[0]
         con(f"C7_load_{link.id}", load, "<=", 0.0)
@@ -533,7 +550,7 @@ def formulate(
     for dev, av in a.items():
         obj_add(av, wp * specs[dev].power_idle)
     for d in scenario.demands:
-        for n in eligible:
+        for n in targets[d.id]:
             spec = specs[f"{n}.cpu"]
             span = spec.power_max - spec.power_idle
             obj_add(x[d.id, n], wp * span * (d.load or 0.0) / spec.capacity)
@@ -557,7 +574,7 @@ def formulate(
     metadata = {
         # Variable-name maps for decoding a solution vector back into an
         # Allocation (solver module).
-        "targets": {d.id: list(eligible) for d in scenario.demands},
+        "targets": targets,
         "y": dict(y),
         "r": dict(r),
     }
@@ -569,33 +586,24 @@ def reachable_bins(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     streams: dict[tuple[DemandSpec, str], list[Link]],
-    delay_cap: Optional[float] = None,
 ) -> dict[str, int]:
-    """Index (from 0) of the highest queue bin each link can reach, given
-    the arc set of every stream (stream_links): the bin of the summed packet
-    rate of the streams whose set holds the link, at most rho_max * mu (the
-    last bin). Higher bins could only raise the delay. formulate() keeps
-    bins 0..top of each link: its bin index n ranges over 1..top + 1.
-
-    Under a `delay_cap` (seconds) a bin is kept only if its delay plus the
-    link's propagation and transmission delay fits under the cap: a link
-    that carries traffic lies on a path at least that slow. Bin 0, where a
-    link without traffic sits, is always kept."""
-    peak = {link.id: 0.0 for link in linkset.links}
+    """Index (from 0) of the highest queue bin each link in some stream's
+    arc set (stream_links) can reach: the bin of the summed packet rate of
+    the streams whose set holds the link, at most rho_max * mu (the last
+    bin). Higher bins could only raise the delay. formulate() keeps bins
+    0..top of each such link: its bin index n ranges over 1..top + 1."""
+    peak: dict[str, float] = {}
     for (d, _n), links in streams.items():
         pps = _pps(d, scenario)
         for link in links:
-            peak[link.id] += pps
+            peak[link.id] = peak.get(link.id, 0.0) + pps
     top = {}
     for link in linkset.links:
-        bounds = tables[link.id].arrival_bounds
-        # The margin keeps a rate on a bin bound, up to float dust, inside.
-        reach = bisect.bisect_left(bounds, peak[link.id] * (1.0 + 1e-9))
-        top[link.id] = min(len(bounds) - 1, reach)
-        if delay_cap is not None:
-            hop = link.prop_delay + link.tx_delay_per_packet
-            fits = sum(1 for q in tables[link.id].delays if hop + q <= delay_cap)
-            top[link.id] = max(0, min(top[link.id], fits - 1))
+        if link.id in peak:
+            bounds = tables[link.id].arrival_bounds
+            # The margin keeps a rate on a bin bound, up to float dust, inside.
+            reach = bisect.bisect_left(bounds, peak[link.id] * (1.0 + 1e-9))
+            top[link.id] = min(len(bounds) - 1, reach)
     return top
 
 
@@ -603,6 +611,7 @@ def model_census(model: MilpModel) -> dict[str, int]:
     return {
         "variables": len(model.variables),
         "binaries": sum(1 for v in model.variables if v.kind == BINARY),
+        "integers": sum(1 for v in model.variables if v.kind == INTEGER),
         "constraints": len(model.constraints),
     }
 
@@ -616,53 +625,61 @@ def model_census_formula(
     """Closed-form variable/constraint counts, given the stream_links of
     each stream, of the delay-weighted model (w_delay != 0), which carries
     the queue-bin machinery, under `delay_cap` as formulate() takes it.
-    `binaries` leaves out the integer bin indexes n."""
+    Only the links some stream holds, the targets (the eligible source and
+    the nodes whose stream has an arc) and the devices their rows touch
+    count. `integers` are the bin indexes n, which `binaries` leaves out."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
-    n_count = len(eligible)
-    link_count = len(linkset.links)
     streams = stream_links(scenario, linkset, tables, delay_cap)
-    steps = sum(reachable_bins(scenario, linkset, tables, streams, delay_cap).values())
+    steps = sum(reachable_bins(scenario, linkset, tables, streams).values())
     specs = powermodel.device_specs(scenario)
-    dev_count = len(specs)
-    routes = [(d.source, n, links) for (d, n), links in streams.items()]
+    routes = [(d.source, n, links) for (d, n), links in streams.items() if links]
     arcs = [l for _s, _n, links in routes for l in links]
     used = {l.id for l in arcs}
+    local = {d.source for d in scenario.demands} & set(eligible)
+    targets = len(routes) + sum(1 for d in scenario.demands if d.source in local)
+    ends = {dev for l in arcs for dev in (l.tx_device, l.rx_device)} & set(specs)
+    cpus = local | {n for _s, n, _l in routes}
+    devices = ends | {f"{n}.cpu" for n in cpus}
 
     variables = (
-        dev_count  # a
-        + 2 * link_count  # n, Q
+        len(devices)  # a
+        + 2 * len(used)  # n, Q
         + 1  # T
-        + 2 * d_count * n_count  # x, y
+        + 2 * targets  # x, y
         + 2 * len(arcs)  # r, q
     )
-    binaries = dev_count + d_count * n_count + len(arcs)
+    binaries = len(devices) + targets + len(arcs)
 
     cells = sum(
         1 for e in scenario.edges() if any(l.id in used for l in linkset.cell_links(e.id))
     )
-    ifaces = {dev for l in arcs for dev in (l.tx_device, l.rx_device)} & set(specs)
     constraints = (
         d_count  # C1
-        + 2 * d_count * n_count  # C2
-        + n_count  # C3
+        + 2 * targets  # C2
+        + len(cpus)  # C3
         + sum(  # C4 flow + degree
             len({s, n} | {l.tx_node for l in links} | {l.rx_node for l in links})
             + len({l.tx_node for l in links})
             for s, n, links in routes
         )
         + cells  # C5b
-        + len(ifaces)  # C5c
+        + len(ends)  # C5c
         + sum(  # C6, per stream, side and device
             len({l.tx_device for l in links} & specs.keys())
             + len({l.rx_device for l in links} & specs.keys())
             for _s, _n, links in routes
         )
-        + link_count + steps  # C7 load, queue secants
+        + len(used) + steps  # C7 load, queue secants
         + len(arcs)  # C8
         + len(routes)  # C9
     )
-    return {"variables": variables, "binaries": binaries, "constraints": constraints}
+    return {
+        "variables": variables,
+        "binaries": binaries,
+        "integers": len(used),
+        "constraints": constraints,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +736,11 @@ def evaluate(
             if n not in eligible:
                 raise AllocationError("C2", f"demand {d.id}, node {n}", 1.0, "node not eligible")
             _check_route(scenario, linkset, d.id, d.source, n, da.routes.get(n, ()))
+        for n in da.routes:
+            if n not in da.serving:
+                raise AllocationError(
+                    "C4", f"demand {d.id}, target {n}", 1.0, "route to a node that does not serve"
+                )
 
     for n_id, mips in allocation.processing_mips(scenario).items():
         cap = scenario.node(n_id).processor.capacity

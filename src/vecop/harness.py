@@ -31,7 +31,7 @@ from .scenario import (
     emit_scenario,
     validate,
 )
-from .solver import Limits
+from .solver import MAX_NODES, Limits
 
 __all__ = [
     "SweepRow",
@@ -97,7 +97,7 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(emit_scenario(scenario).encode()).hexdigest()[:16]
 
 
-def provenance(scenario: Scenario, limits: Limits) -> dict:
+def provenance(scenario: Scenario) -> dict:
     """Inputs that fix a result beyond the weights: stamped on every output."""
     return {
         "scenario_hash": scenario_hash(scenario),
@@ -106,7 +106,7 @@ def provenance(scenario: Scenario, limits: Limits) -> dict:
         "bins": scenario.settings.bins,
         "packet_size_bytes": scenario.settings.packet_size,
         "core_energy_per_bit_j": scenario.settings.core_energy_per_bit,
-        "limits_max_nodes": limits.max_nodes,
+        "limits_max_nodes": MAX_NODES,
     }
 
 
@@ -223,7 +223,7 @@ def sweep(
         cell_rows = [_solve_cell(scenario, d, s, presets, limits, collect) for d, s in cells]
     rows = tuple(r for rs in cell_rows for r in rs)
     metadata = {
-        **provenance(scenario, limits),
+        **provenance(scenario),
         "demands_kbps": list(demands),
         "settings": [s.value for s in settings],
         "objectives": [p.value for p in presets],

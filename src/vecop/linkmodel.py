@@ -79,21 +79,15 @@ class LinkSet:
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
         out: dict[str, list[Link]] = {}
-        inc: dict[str, list[Link]] = {}
         for l in self.links:
             out.setdefault(l.tx_node, []).append(l)
-            inc.setdefault(l.rx_node, []).append(l)
         object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
 
     def link(self, link_id: str) -> Link:
         return self._by_id[link_id]
 
     def out_links(self, node_id: str) -> list[Link]:
         return list(self._out.get(node_id, []))
-
-    def in_links(self, node_id: str) -> list[Link]:
-        return list(self._in.get(node_id, []))
 
     def cell_links(self, ap_node_id: str) -> list[Link]:
         """All WiFi links sharing the given edge node's access-point cell."""

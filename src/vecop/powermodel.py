@@ -20,7 +20,6 @@ __all__ = [
     "device_power",
     "system_power",
     "device_specs",
-    "energy_per_bit_full_load",
 ]
 
 CORE_DEVICE = "core"  # pseudo-device collecting the per-bit fiber/core energy
@@ -157,11 +156,3 @@ def system_power(scenario: Scenario, linkset: LinkSet, allocation) -> PowerBreak
         per_device[CORE_DEVICE] = scenario.settings.core_energy_per_bit * core_bps
 
     return PowerBreakdown(total=sum(per_device.values()), per_device=per_device)
-
-
-def energy_per_bit_full_load(scenario: Scenario, node_id: str, medium: Medium) -> float:
-    """Joules per bit of one radio driven at full load (device power / rate)."""
-    radio = scenario.node(node_id).radio(medium)
-    if radio is None:
-        raise KeyError(f"node {node_id} has no {medium.value} radio")
-    return radio.power_max / radio.bandwidth

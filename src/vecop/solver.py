@@ -54,6 +54,7 @@ from .scenario import (
 )
 
 __all__ = [
+    "MAX_NODES",
     "Limits",
     "SolverError",
     "InstanceTooLarge",
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 CAPACITY_TOL = 1e-9
+# Largest instance solve() takes without Limits.force.
+MAX_NODES = 12
 # Largest objective cost handed to HiGHS (see solve()).
 OBJECTIVE_PEAK = 1e3
 # Largest instance brute_force enumerates.
@@ -90,7 +93,6 @@ class SolverStopped(SolverError):
 
 @dataclass(frozen=True)
 class Limits:
-    max_nodes: int = 12
     force: bool = False
 
 
@@ -329,10 +331,10 @@ def solve(
     Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
-    if len(scenario.nodes) > limits.max_nodes and not limits.force:
+    if len(scenario.nodes) > MAX_NODES and not limits.force:
         raise InstanceTooLarge(
             f"instance too large: {len(scenario.nodes)} nodes "
-            f"(limit {limits.max_nodes}; use force to override)"
+            f"(limit {MAX_NODES}; use force to override)"
         )
     eligible = sorted(eligible_processors(scenario))
     if not eligible:

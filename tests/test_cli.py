@@ -107,7 +107,7 @@ def test_export_lp_parses(tiny_scenario_path, tmp_path):
 def test_export_stats(tiny_scenario_path, capsys):
     assert main(["export", "--scenario", tiny_scenario_path, "--stats"]) == EXIT_OK
     census = json.loads(capsys.readouterr().out)
-    assert set(census) == {"variables", "binaries", "constraints"}
+    assert set(census) == {"variables", "binaries", "integers", "constraints"}
     assert census["variables"] > census["binaries"] > 0
 
 

@@ -95,11 +95,12 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
     default_model, default_scenario, default_linkset, default_tables
 ):
     # Default lot: one demand, 9 remote targets (7 vehicles, 2 edges); every
-    # link keeps exactly the bins up to the one its peak rate falls into:
-    # one stream rate per target whose route links hold the link (nothing
-    # is dropped at 1000 kbps without a cap), at most rho_max * mu. The
-    # kept-bin count is the upper bound of the link's bin index n, which
-    # has one C7_queue secant row per step between kept bins.
+    # link some stream holds keeps exactly the bins up to the one its peak
+    # rate falls into: one stream rate per target whose route links hold the
+    # link (nothing is dropped at 1000 kbps without a cap), at most
+    # rho_max * mu. The kept-bin count is the upper bound of the link's bin
+    # index n, which has one C7_queue secant row per step between kept bins.
+    # A link no stream holds (one into the source) has no bin index.
     (d,) = default_scenario.demands
     pps = delaymodel.packets_per_second(d.traffic * 1000.0, 1500.0)
     targets = sorted(eligible_processors(default_scenario) - {d.source})
@@ -109,15 +110,18 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
             held[link.id] += 1
     streams = stream_links(default_scenario, default_linkset, default_tables)
     assert _stream_counts(streams, default_linkset) == held
+    used = [link for link in default_linkset.links if held[link.id]]
+    assert 0 < len(used) < len(default_linkset.links)
     top = reachable_bins(default_scenario, default_linkset, default_tables, streams)
+    assert list(top) == [link.id for link in used]
     variables = {v.name: v for v in default_model.variables}
     index = {n: v for n, v in variables.items() if n.startswith("n_")}
-    assert len(index) == len(default_linkset.links)
+    assert list(index) == [f"n_{link.id}" for link in used]
     assert all(v.kind == INTEGER and v.lower == 1.0 for v in index.values())
     kept = sum(v.upper for v in index.values())
-    assert kept == sum(k + 1 for k in top.values()) < 64 * len(default_linkset.links)
+    assert kept == sum(k + 1 for k in top.values()) < 64 * len(used)
     below_all = 0
-    for link in default_linkset.links:
+    for link in used:
         table, k = default_tables[link.id], top[link.id]
         peak = min(held[link.id] * pps, table.arrival_bounds[-1])
         assert delaymodel.lookup(table, peak) == table.delays[k]
@@ -125,7 +129,7 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
         assert _queue_steps(default_model, link.id) == list(range(1, k + 1))
         below_all += k < bisect.bisect_left(table.arrival_bounds, len(targets) * pps)
     # Counting the streams per link, not every remote stream, lowers some
-    # links' top bin (links into the source carry no stream at all).
+    # links' top bin.
     assert below_all > 0
 
 
@@ -147,43 +151,50 @@ def _big_ms(model, link_id):
 
 
 def test_delay_cap_bounds_t_and_trims_bins(default_scenario, default_linkset, default_tables):
-    # One per-link rule under a cap: bins up to the one the link's capped
-    # streams reach together, each fitting under the cap after the link's
-    # own hop delay, and always bin 0. At 1000 kbps the arc prune leaves no
-    # link a bin the hop rule cuts, so the default lot carries 4000 kbps.
+    # A cap reaches the model in two places: T's bound and the arc sets. A
+    # link keeps the bins up to the one its capped streams reach together,
+    # fewer than without the cap when the cap takes streams off it; a link
+    # no capped stream holds has no queue block at all.
     (base,) = default_scenario.demands
     s = validate(
         dataclasses.replace(
             default_scenario, demands=(DemandSpec(base.id, base.source, 4000.0, 4000.0),)
         )
     )
-    cap = 2e-3
+    cap = 1e-3
     model = formulate(s, default_linkset, default_tables, JOINT, delay_cap=cap)
     variables = {v.name: v for v in model.variables}
     assert variables["T"].upper == cap / DELAY_UNIT
     pps = delaymodel.packets_per_second(4000.0 * 1000.0, 1500.0)
     held = _stream_counts(stream_links(s, default_linkset, default_tables, cap), default_linkset)
-    partly = gated = 0
+    uncapped = _stream_counts(stream_links(s, default_linkset, default_tables), default_linkset)
+    dropped = trimmed = gated = 0
     for link in default_linkset.links:
         table = default_tables[link.id]
-        peak = min(held[link.id] * pps, table.arrival_bounds[-1])
-        reach = table.delays.index(delaymodel.lookup(table, peak))
-        fits = [
-            k for k, q in enumerate(table.delays[: reach + 1])
-            if link.prop_delay + link.tx_delay_per_packet + q <= cap
-        ]
+        if not held[link.id]:
+            assert f"n_{link.id}" not in variables and f"Q_{link.id}" not in variables
+            assert not _queue_steps(model, link.id)
+            dropped += bool(uncapped[link.id])
+            continue
+        reach, full = (
+            table.delays.index(
+                delaymodel.lookup(table, min(count * pps, table.arrival_bounds[-1]))
+            )
+            for count in (held[link.id], uncapped[link.id])
+        )
         kept = list(range(int(variables[f"n_{link.id}"].upper)))
-        assert kept == sorted(set(fits) | {0}), link.id
+        assert kept == list(range(reach + 1)), link.id
         assert _queue_steps(model, link.id) == kept[1:], link.id
-        partly += 0 < len(fits) < reach + 1
+        trimmed += reach < full
         top = table.delays[kept[-1]] / DELAY_UNIT
         assert variables[f"Q_{link.id}"].lower == table.delays[0] / DELAY_UNIT
         assert variables[f"Q_{link.id}"].upper == top
         big_ms = _big_ms(model, link.id)
         assert all(m == top for m in big_ms), link.id
         gated += bool(big_ms)
-    # The hop rule cuts some links' bins below the bin their streams reach.
-    assert partly > 0 and gated > 0
+    # The cap takes some links from every stream, and some streams from
+    # other links, which lowers their top bin.
+    assert dropped > 0 and trimmed > 0 and gated > 0
 
 
 def test_delay_cap_zero_leaves_only_local_processing():
@@ -191,14 +202,16 @@ def test_delay_cap_zero_leaves_only_local_processing():
         [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
     )
     model = formulate(s, ls, tb, JOINT, delay_cap=0.0)
-    # Serve v2 if the model lets it: maximize y_d1_v2.
-    names, _c, integrality, bounds, constraint = _to_arrays(model)
-    c = [-1.0 if n == "y_d1_v2" else 0.0 for n in names]
+    # No path fits under a zero cap: the source is the only target, and no
+    # stream keeps a routing variable or a link a queue block.
+    assert model.metadata["targets"] == {"d1": ["v1"]}
+    assert not model.metadata["r"]
+    assert not any(v.name[:2] in ("n_", "Q_", "q_") for v in model.variables)
+    names, c, integrality, bounds, constraint = _to_arrays(model)
     res = milp(c, constraints=constraint, bounds=bounds, integrality=integrality)
     assert res.status == 0
     value = dict(zip(names, res.x))
-    assert value["y_d1_v2"] < 0.5 and value["y_d1_v1"] > 0.5
-    assert all(value[rv] < 0.5 for rv in model.metadata["r"].values())
+    assert value["y_d1_v1"] > 0.5 and value["x_d1_v1"] == pytest.approx(1.0)
 
 
 def test_constraint_families_present(default_model):
@@ -250,7 +263,8 @@ def test_trim_ignored_with_delay_weight(default_scenario, default_linkset, defau
     # with delay, C7_load bounds the arrival rate by n bins of the link's
     # first bin's width
     loads = [c for c in full.constraints if c.name.startswith("C7_load_")]
-    assert len(loads) == len(default_linkset.links)
+    streams = stream_links(default_scenario, default_linkset, default_tables)
+    assert len(loads) == len({link.id for links in streams.values() for link in links})
     for c in loads:
         link_id = c.name[len("C7_load_"):]
         assert c.coeffs[f"n_{link_id}"] == -default_tables[link_id].arrival_bounds[0]
@@ -260,6 +274,7 @@ def test_trim_ignored_with_delay_weight(default_scenario, default_linkset, defau
 def test_queue_rows_charge_each_bins_delay(default_scenario, default_linkset, default_tables):
     # At every integer bin index n of a link, the least Q its C7_queue rows
     # and bounds allow is bin n's table delay; with and without a cap.
+    # Only the links some stream holds have a bin index.
     for cap in (None, 1e-3):
         model = formulate(default_scenario, default_linkset, default_tables, JOINT, cap)
         variables = {v.name: v for v in model.variables}
@@ -267,7 +282,12 @@ def test_queue_rows_charge_each_bins_delay(default_scenario, default_linkset, de
         for c in model.constraints:
             if c.name.startswith("C7_queue_"):
                 rows.setdefault(c.name[len("C7_queue_"):].rsplit("_k", 1)[0], []).append(c)
+        streams = stream_links(default_scenario, default_linkset, default_tables, cap)
+        held = {link.id for links in streams.values() for link in links}
+        assert {n for n in variables if n.startswith("n_")} == {f"n_{l}" for l in held}
         for link in default_linkset.links:
+            if link.id not in held:
+                continue
             n_var, q_var = variables[f"n_{link.id}"], variables[f"Q_{link.id}"]
             delays = default_tables[link.id].delays
             for n in range(1, int(n_var.upper) + 1):
@@ -302,7 +322,7 @@ def test_route_links_are_per_stream():
         )
     )
     ls = linkmodel.build_links(s)
-    into_v1 = {l.id for l in ls.in_links("v1")}
+    into_v1 = {l.id for l in ls.links if l.rx_node == "v1"}
     assert into_v1
     assert not into_v1 & {l.id for l in route_links(ls, "v1", "v3")}
     assert into_v1 <= {l.id for l in route_links(ls, "v2", "v1")}
@@ -394,6 +414,58 @@ def test_census_matches_closed_form_under_a_cap(
     assert model_census(formulate(s, ls, tb, JOINT, delay_cap=cap)) == model_census_formula(
         s, ls, tb, cap
     )
+
+
+def _check_declares_only_what_streams_use(s, ls, tb, weights, cap=None):
+    """Every queue block sits on a link some stream's arc set holds, every
+    x/y on the source or a target whose stream has an arc, and every
+    activation a in some row."""
+    model = formulate(s, ls, tb, weights, delay_cap=cap)
+    streams = stream_links(s, ls, tb, cap if weights.w_delay else None)
+    held = {link.id for links in streams.values() for link in links}
+    targets = {
+        f"{_nm(d.id)}_{_nm(n)}"
+        for d in s.demands
+        for n in eligible_processors(s)
+        if n == d.source or streams[d, n]
+    }
+    in_rows = {v for c in model.constraints for v in c.coeffs}
+    for v in model.variables:
+        kind, _, rest = v.name.partition("_")
+        if kind in ("n", "Q"):
+            assert rest in held, v.name
+        elif kind in ("x", "y"):
+            assert rest in targets, v.name
+        elif kind == "a":
+            assert v.name in in_rows, v.name
+    for c in model.constraints:
+        if c.name.startswith("C7_"):
+            assert c.name.split("_")[2] in held, c.name
+    return len(held) < len(ls.links)
+
+
+def test_model_declares_only_what_streams_use(default_scenario, default_linkset, default_tables):
+    pruned = 0
+    for setting in ProcessingSetting:
+        s = validate(
+            dataclasses.replace(
+                default_scenario,
+                settings=dataclasses.replace(
+                    default_scenario.settings, processing_setting=setting
+                ),
+            )
+        )
+        for weights, cap in ((POWER, None), (JOINT, None), (JOINT, 1e-3)):
+            pruned += _check_declares_only_what_streams_use(
+                s, default_linkset, default_tables, weights, cap
+            )
+    s = two_demand_scenario()
+    ls = linkmodel.build_links(s)
+    tb = delaymodel.build_tables(s, ls)
+    for weights, cap in ((POWER, None), (JOINT, None), (JOINT, 6e-4)):
+        pruned += _check_declares_only_what_streams_use(s, ls, tb, weights, cap)
+    # Some models leave links out.
+    assert pruned > 0
 
 
 def _check_activation_rows(ls, model):
@@ -529,6 +601,27 @@ def test_evaluate_rejects_bad_route_shape():
     with pytest.raises(AllocationError) as e:
         evaluate(s, ls, tb, alloc, POWER)
     assert e.value.family == "C4"
+
+
+def test_evaluate_rejects_routes_to_nodes_that_do_not_serve():
+    # v1 serves itself; a well-formed path to v2, or a link that does not
+    # start at the source, is no route of a serving node: its traffic would
+    # be charged while its shape and delay go unchecked.
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0), make_vehicle("v3", 15, 20)],
+        traffic=400.0,
+    )
+    hop = {(l.tx_node, l.rx_node): l.id for l in ls.links if l.medium == Medium.DSRC}
+    for extra in (
+        {"v2": (hop["v1", "v2"],)},
+        {"v2": (hop["v1", "v2"],), "v3": (hop["v2", "v1"],)},
+    ):
+        alloc = Allocation(
+            {"d1": DemandAllocation(("v1",), {"v1": 1.0}, {"v1": (), **extra})}
+        )
+        with pytest.raises(AllocationError) as e:
+            evaluate(s, ls, tb, alloc, POWER)
+        assert e.value.family == "C4"
 
 
 def test_evaluate_rejects_unstable_queue():

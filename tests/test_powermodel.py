@@ -6,7 +6,6 @@ from vecop.powermodel import (
     OverCapacityError,
     device_power,
     device_specs,
-    energy_per_bit_full_load,
     system_power,
 )
 from vecop.scenario import Medium, ProcessingSetting, ProcessorSpec
@@ -136,11 +135,3 @@ def test_over_capacity_raises():
     )
     with pytest.raises(OverCapacityError):
         system_power(s, ls, bad)
-
-
-def test_energy_per_bit_full_load(default_scenario):
-    assert energy_per_bit_full_load(default_scenario, "v1", Medium.WIFI) == pytest.approx(
-        0.612 / 150e6, rel=1e-12
-    )
-    with pytest.raises(KeyError):
-        energy_per_bit_full_load(default_scenario, "e1", Medium.DSRC)

@@ -164,8 +164,8 @@ def test_solve_size_guard():
     s = small_scenario(nodes, traffic=400.0)
     ls, tb = _ctx(s)
     with pytest.raises(InstanceTooLarge):
-        solve(s, ls, tb, POWER, Limits(max_nodes=12))
-    r = solve(s, ls, tb, POWER, Limits(max_nodes=12, force=True))
+        solve(s, ls, tb, POWER)
+    r = solve(s, ls, tb, POWER, Limits(force=True))
     assert r.status == "optimal"
 
 
