@@ -9,7 +9,8 @@ convex delays (Q), and a per-(demand, target, route link) gated copy (q)
 feeding the max-delay variable T.
 
 The evaluator recomputes constraints, power and delay from first principles
-(powermodel/delaymodel) and shares no bookkeeping with the solver.
+and shares no bookkeeping with the solver. It is the one place that checks
+an allocation's constraints; powermodel only prices what passed them.
 """
 
 from __future__ import annotations
@@ -98,14 +99,6 @@ class Allocation:
                 for link_id in route:
                     traffic[link_id] = traffic.get(link_id, 0.0) + t_bps
         return traffic
-
-    def link_lambda(self, scenario: Scenario) -> dict[str, float]:
-        """packets/s per link at the configured packet size."""
-        packet = scenario.settings.packet_size
-        return {
-            l: delaymodel.packets_per_second(t, packet)
-            for l, t in self.link_traffic(scenario).items()
-        }
 
     def processing_mips(self, scenario: Scenario) -> dict[str, float]:
         mips: dict[str, float] = {}
@@ -717,7 +710,13 @@ def evaluate(
     allocation: Allocation,
     weights: ObjectiveWeights,
 ) -> SolveResult:
-    """Recompute constraints, power, max delay and objective of an allocation."""
+    """Check an allocation against every constraint family, then price it.
+
+    Raises AllocationError at the first violated family (C1-C5, C7). No
+    other module checks an allocation: powermodel.system_power prices only
+    what passed here. Link traffic and processor MIPS are computed once and
+    shared by the checks, the queue rates and the pricing.
+    """
     eligible = eligible_processors(scenario)
 
     for d in scenario.demands:
@@ -742,7 +741,8 @@ def evaluate(
                     "C4", f"demand {d.id}, target {n}", 1.0, "route to a node that does not serve"
                 )
 
-    for n_id, mips in allocation.processing_mips(scenario).items():
+    processing_mips = allocation.processing_mips(scenario)
+    for n_id, mips in processing_mips.items():
         cap = scenario.node(n_id).processor.capacity
         if mips > cap * (1.0 + FRACTION_TOL):
             raise AllocationError("C3", f"node {n_id}", mips - cap)
@@ -768,13 +768,14 @@ def evaluate(
         if spec is not None and t > spec.capacity * (1.0 + FRACTION_TOL):
             raise AllocationError("C5c", f"interface {dev}", t - spec.capacity)
 
-    lam = allocation.link_lambda(scenario)
+    packet = scenario.settings.packet_size
+    lam = {l: delaymodel.packets_per_second(t, packet) for l, t in link_traffic.items()}
     for link_id, rate in lam.items():
         cap = tables[link_id].arrival_bounds[-1]
         if rate > cap * (1.0 + FRACTION_TOL):
             raise AllocationError("C7", f"link {link_id}", rate - cap, "exceeds rho_max")
 
-    breakdown = powermodel.system_power(scenario, linkset, allocation)
+    breakdown = powermodel.system_power(scenario, linkset, link_traffic, processing_mips)
 
     per_target_delay: dict[str, dict[str, float]] = {}
     max_delay = 0.0

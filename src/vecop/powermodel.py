@@ -1,4 +1,5 @@
-"""Device and system power.
+"""Device and system power. This module only prices: formulation.evaluate
+checks every capacity before it prices an allocation.
 
 Every device draws its idle power once activated plus a load-proportional
 term up to its maximum; transmitting interfaces additionally pay their
@@ -14,35 +15,13 @@ from .linkmodel import LinkSet, Medium
 from .scenario import Scenario
 
 __all__ = [
-    "DeviceLoad",
     "PowerBreakdown",
-    "OverCapacityError",
     "device_power",
     "system_power",
     "device_specs",
 ]
 
 CORE_DEVICE = "core"  # pseudo-device collecting the per-bit fiber/core energy
-
-UTILIZATION_TOL = 1e-9
-
-
-class OverCapacityError(ValueError):
-    """A single link or processor is loaded past its capacity."""
-
-
-@dataclass(frozen=True)
-class DeviceLoad:
-    device: str
-    active: bool
-    utilization: float  # dimensionless; fraction of the device's capacity
-    radiated_component: float = 0.0  # watts, transmitting interfaces only
-
-    def __post_init__(self):
-        if not self.active and self.utilization != 0.0:
-            raise ValueError(f"device {self.device}: inactive device must have zero utilization")
-        if self.utilization < 0.0:
-            raise ValueError(f"device {self.device}: utilization must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -51,16 +30,15 @@ class PowerBreakdown:
     per_device: dict[str, float] = field(default_factory=dict)
 
 
-def device_power(spec, load: DeviceLoad) -> float:
-    """Power draw of one device: 0 when inactive, else
+def device_power(spec, utilization: float, radiated_component: float = 0.0) -> float:
+    """Power draw of one active device:
     idle + (max - idle) * u + u * radiated_component.
 
-    `spec` is anything with power_idle/power_max (processor, radio, ONU).
+    `spec` is anything with power_idle/power_max (processor, radio, ONU);
+    `utilization` is the fraction of its capacity in use.
     """
-    if not load.active:
-        return 0.0
     span = spec.power_max - spec.power_idle
-    return spec.power_idle + span * load.utilization + load.utilization * load.radiated_component
+    return spec.power_idle + span * utilization + utilization * radiated_component
 
 
 @dataclass(frozen=True)
@@ -91,25 +69,22 @@ def device_specs(scenario: Scenario) -> dict[str, _DeviceSpec]:
     return specs
 
 
-def system_power(scenario: Scenario, linkset: LinkSet, allocation) -> PowerBreakdown:
-    """Total and per-device power of a structurally valid allocation.
+def system_power(
+    scenario: Scenario,
+    linkset: LinkSet,
+    link_traffic: dict[str, float],
+    processing_mips: dict[str, float],
+) -> PowerBreakdown:
+    """Total and per-device power of a checked allocation, given as its
+    `Allocation.link_traffic` (bit/s per link) and `processing_mips`.
 
-    A device is active iff the allocation assigns it nonzero processing or
-    carries nonzero traffic through it. Interface utilization aggregates
-    traffic over every link the interface terminates; the radiated component
-    is the traffic-share-weighted radiated power of its transmitting links.
+    A device is active iff it processes or carries nonzero traffic.
+    Interface utilization aggregates traffic over every link the interface
+    terminates; the radiated component is the traffic-share-weighted
+    radiated power of its transmitting links. The total sums processors
+    (in `processing_mips` order), then interfaces (in link order), then core.
     """
     specs = device_specs(scenario)
-    link_traffic = allocation.link_traffic(scenario)
-
-    # Per-link over-capacity is an invalid allocation, not a power question.
-    for link in linkset.links:
-        t = link_traffic.get(link.id, 0.0)
-        if t > link.capacity * (1.0 + UTILIZATION_TOL):
-            raise OverCapacityError(
-                f"link {link.id} ({link.tx_node}->{link.rx_node}): traffic {t} bit/s "
-                f"exceeds capacity {link.capacity} bit/s"
-            )
 
     # Traffic and radiated power aggregated per interface device.
     dev_traffic: dict[str, float] = {}
@@ -123,30 +98,14 @@ def system_power(scenario: Scenario, linkset: LinkSet, allocation) -> PowerBreak
         dev_radiated[link.tx_device] = dev_radiated.get(link.tx_device, 0.0) + link.radiated_power * t
 
     per_device: dict[str, float] = {}
-
-    # Processors.
-    for node_id, mips in allocation.processing_mips(scenario).items():
-        if mips <= 0.0:
-            continue
-        dev = f"{node_id}.cpu"
-        spec = specs[dev]
-        u = mips / spec.capacity
-        if u > 1.0 + UTILIZATION_TOL:
-            raise OverCapacityError(f"processor {dev}: load {mips} MIPS exceeds capacity {spec.capacity}")
-        per_device[dev] = device_power(spec, DeviceLoad(dev, True, u))
-
-    # Interfaces.
+    for node_id, mips in processing_mips.items():
+        spec = specs[f"{node_id}.cpu"]
+        per_device[f"{node_id}.cpu"] = device_power(spec, mips / spec.capacity)
     for dev, t in dev_traffic.items():
         spec = specs.get(dev)
         if spec is None:  # cloud fiber termination: covered by the core adder
             continue
-        u = t / spec.capacity
-        if u > 1.0 + UTILIZATION_TOL:
-            raise OverCapacityError(
-                f"interface {dev}: carried {t} bit/s exceeds bandwidth {spec.capacity} bit/s"
-            )
-        radiated_component = dev_radiated.get(dev, 0.0) / t if t > 0 else 0.0
-        per_device[dev] = device_power(spec, DeviceLoad(dev, True, u, radiated_component))
+        per_device[dev] = device_power(spec, t / spec.capacity, dev_radiated.get(dev, 0.0) / t)
 
     # Core energy for traffic crossing the fiber hop.
     core_bps = sum(

@@ -272,14 +272,32 @@ def _require(cond: bool, msg: str) -> None:
         raise ScenarioError(msg)
 
 
+def _require_finite(spec, path: str) -> None:
+    """Every float field of a spec, at any depth, is finite: json.loads
+    admits NaN and Infinity. Tuple items are named by their id, if any."""
+    for name, value in vars(spec).items():
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{path}{name}: must be finite, got {value}")
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                _require_finite(item, f"{path}{name}[{getattr(item, 'id', i)}].")
+        elif hasattr(value, "__dataclass_fields__"):  # dataclasses.is_dataclass, but cheaper
+            _require_finite(value, f"{path}{name}.")
+
+
 def validate(scenario: Scenario) -> Scenario:
     """Check all invariants and fill demand loads from traffic where unset.
 
     Returns a (possibly new) Scenario; validation is idempotent.
     """
+    _require_finite(scenario, "")
     s = scenario.settings
     _require(0.0 < s.rho_max < 1.0, f"settings.rho_max: must be in (0,1), got {s.rho_max}")
-    _require(s.bins >= 2, f"settings.bins: must be >= 2, got {s.bins}")
+    _require(
+        isinstance(s.bins, int) and s.bins >= 2,
+        f"settings.bins: must be an integer >= 2, got {s.bins!r}",
+    )
     _require(s.packet_size > 0, f"settings.packet_size: must be > 0, got {s.packet_size}")
     _require(s.mips_per_kbps > 0, f"settings.mips_per_kbps: must be > 0, got {s.mips_per_kbps}")
     _require(s.core_energy_per_bit >= 0, "settings.core_energy_per_bit: must be >= 0")
@@ -309,10 +327,6 @@ def validate(scenario: Scenario) -> Scenario:
         if n.kind == NodeKind.VEHICLE:
             _require(n.position is not None, f"node {n.id}: vehicle requires a position")
             assert n.position is not None
-            _require(
-                math.isfinite(n.position.x) and math.isfinite(n.position.y),
-                f"node {n.id}: position must be finite",
-            )
             _require(
                 0.0 <= n.position.x <= scenario.lot_width
                 and 0.0 <= n.position.y <= scenario.lot_height,
@@ -372,16 +386,31 @@ def eligible_processors(scenario: Scenario) -> set[str]:
 # JSON document I/O
 # ---------------------------------------------------------------------------
 
+def _expect(raw, kind: type, ctx: str):
+    if not isinstance(raw, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{ctx}: must be {what}, got {raw!r}")
+    return raw
+
+
 def _get(obj: dict, key: str, ctx: str):
-    if key not in obj:
+    if key not in _expect(obj, dict, ctx):
         raise ScenarioError(f"{ctx}: missing field '{key}'")
     return obj[key]
+
+
+def _number(obj: dict, key: str, ctx: str, default: Optional[float] = None) -> float:
+    """A JSON number field as a float; a field with a default may be absent."""
+    raw = _get(obj, key, ctx) if default is None else obj.get(key, default)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"{ctx}.{key}: must be a number, got {raw!r}")
+    return float(raw)
 
 
 def _enum(cls, raw, ctx: str):
     try:
         return cls(raw)
-    except ValueError:
+    except (ValueError, TypeError):
         allowed = ", ".join(m.value for m in cls)
         raise ScenarioError(f"{ctx}: expected one of {{{allowed}}}, got {raw!r}") from None
 
@@ -397,40 +426,42 @@ def parse_scenario(document: str) -> Scenario:
 
     lot = _get(raw, "lot", "document")
     nodes = []
-    for nd in _get(raw, "nodes", "document"):
-        ctx = f"node {nd.get('id', '?')}"
+    for i, nd in enumerate(_expect(_get(raw, "nodes", "document"), list, "nodes")):
+        ctx = f"node {_expect(nd, dict, f'nodes[{i}]').get('id', '?')}"
         kind = _enum(NodeKind, _get(nd, "kind", ctx), f"{ctx}.kind")
         proc = _get(nd, "processor", ctx)
         processor = ProcessorSpec(
-            capacity=float(_get(proc, "capacity_mips", f"{ctx}.processor")),
-            power_idle=float(_get(proc, "power_idle_w", f"{ctx}.processor")),
-            power_max=float(_get(proc, "power_max_w", f"{ctx}.processor")),
+            capacity=_number(proc, "capacity_mips", f"{ctx}.processor"),
+            power_idle=_number(proc, "power_idle_w", f"{ctx}.processor"),
+            power_max=_number(proc, "power_max_w", f"{ctx}.processor"),
         )
         position = None
         if "position" in nd and nd["position"] is not None:
-            position = Position(float(nd["position"]["x"]), float(nd["position"]["y"]))
+            pos, pctx = nd["position"], f"{ctx}.position"
+            position = Position(_number(pos, "x", pctx), _number(pos, "y", pctx))
         radios = []
-        for rr in nd.get("radios", []):
+        for rr in _expect(nd.get("radios", []), list, f"{ctx}.radios"):
+            rctx = f"{ctx}.radio"
             radios.append(
                 RadioSpec(
-                    medium=_enum(Medium, _get(rr, "medium", f"{ctx}.radio"), f"{ctx}.radio.medium"),
-                    bandwidth=float(_get(rr, "bandwidth_bps", f"{ctx}.radio")),
-                    freq=float(_get(rr, "freq_hz", f"{ctx}.radio")),
-                    tx_power_max=float(_get(rr, "tx_power_max_dbm", f"{ctx}.radio")),
-                    rx_sensitivity=float(_get(rr, "rx_sensitivity_dbm", f"{ctx}.radio")),
-                    power_idle=float(_get(rr, "power_idle_w", f"{ctx}.radio")),
-                    power_max=float(_get(rr, "power_max_w", f"{ctx}.radio")),
-                    link_margin=float(rr.get("link_margin_db", 0.0)),
+                    medium=_enum(Medium, _get(rr, "medium", rctx), f"{rctx}.medium"),
+                    bandwidth=_number(rr, "bandwidth_bps", rctx),
+                    freq=_number(rr, "freq_hz", rctx),
+                    tx_power_max=_number(rr, "tx_power_max_dbm", rctx),
+                    rx_sensitivity=_number(rr, "rx_sensitivity_dbm", rctx),
+                    power_idle=_number(rr, "power_idle_w", rctx),
+                    power_max=_number(rr, "power_max_w", rctx),
+                    link_margin=_number(rr, "link_margin_db", rctx, 0.0),
                 )
             )
         onu = None
         if "onu" in nd and nd["onu"] is not None:
             onu = OnuSpec(
-                power_idle=float(_get(nd["onu"], "power_idle_w", f"{ctx}.onu")),
-                power_max=float(_get(nd["onu"], "power_max_w", f"{ctx}.onu")),
-                fiber_capacity=float(_get(nd["onu"], "fiber_capacity_bps", f"{ctx}.onu")),
+                power_idle=_number(nd["onu"], "power_idle_w", f"{ctx}.onu"),
+                power_max=_number(nd["onu"], "power_max_w", f"{ctx}.onu"),
+                fiber_capacity=_number(nd["onu"], "fiber_capacity_bps", f"{ctx}.onu"),
             )
-        fiber_length = float(nd["fiber_length_m"]) if "fiber_length_m" in nd else None
+        fiber_length = _number(nd, "fiber_length_m", ctx) if "fiber_length_m" in nd else None
         nodes.append(
             NodeSpec(
                 id=str(_get(nd, "id", ctx)),
@@ -444,14 +475,14 @@ def parse_scenario(document: str) -> Scenario:
         )
 
     demands = []
-    for dd in _get(raw, "demands", "document"):
-        ctx = f"demand {dd.get('id', '?')}"
+    for i, dd in enumerate(_expect(_get(raw, "demands", "document"), list, "demands")):
+        ctx = f"demand {_expect(dd, dict, f'demands[{i}]').get('id', '?')}"
         demands.append(
             DemandSpec(
                 id=str(_get(dd, "id", ctx)),
                 source=str(_get(dd, "source", ctx)),
-                traffic=float(_get(dd, "traffic_kbps", ctx)),
-                load=float(dd["load_mips"]) if dd.get("load_mips") is not None else None,
+                traffic=_number(dd, "traffic_kbps", ctx),
+                load=_number(dd, "load_mips", ctx) if dd.get("load_mips") is not None else None,
             )
         )
 
@@ -463,16 +494,18 @@ def parse_scenario(document: str) -> Scenario:
             _get(st, "processing_setting", "settings"),
             "settings.processing_setting",
         ),
-        packet_size=float(st.get("packet_size_bytes", defaults.packet_size)),
-        rho_max=float(st.get("rho_max", defaults.rho_max)),
-        bins=int(st.get("bins", defaults.bins)),
-        mips_per_kbps=float(st.get("mips_per_kbps", defaults.mips_per_kbps)),
-        core_energy_per_bit=float(st.get("core_energy_per_bit_j", defaults.core_energy_per_bit)),
+        packet_size=_number(st, "packet_size_bytes", "settings", defaults.packet_size),
+        rho_max=_number(st, "rho_max", "settings", defaults.rho_max),
+        bins=st.get("bins", defaults.bins),  # validate checks it is an integer
+        mips_per_kbps=_number(st, "mips_per_kbps", "settings", defaults.mips_per_kbps),
+        core_energy_per_bit=_number(
+            st, "core_energy_per_bit_j", "settings", defaults.core_energy_per_bit
+        ),
     )
 
     scenario = Scenario(
-        lot_width=float(_get(lot, "width", "lot")),
-        lot_height=float(_get(lot, "height", "lot")),
+        lot_width=_number(lot, "width", "lot"),
+        lot_height=_number(lot, "height", "lot"),
         nodes=tuple(nodes),
         demands=tuple(demands),
         settings=settings,

@@ -67,6 +67,30 @@ def test_validate_bad_document(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_exits_with_validation(tmp_path, capsys):
+    # A cloud at infinite fiber length once solved as "optimal" with an
+    # infinite delay.
+    raw = json.loads(Path(GOLDEN).read_text())
+    raw["nodes"][-1]["fiber_length_m"] = float("inf")
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(raw))
+    argv = ["solve", "--scenario", str(p), "--setting", "CLOUD_ONLY", "--objective", "power"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "fiber_length: must be finite" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vecop.cli", "validate",
+         "--scenario", GOLDEN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE

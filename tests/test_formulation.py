@@ -594,6 +594,55 @@ def test_evaluate_rejects_overloaded_processor():
     assert e.value.slack == pytest.approx(400.0, abs=1e-9)
 
 
+def _c5a_over_one_link():
+    # 28 Mbit/s on one 27 Mbit/s DSRC hop.
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=28000.0, mips_per_kbps=0.01
+    )
+    hop = next(l for l in ls.links if l.tx_node == "v1" and l.medium == Medium.DSRC)
+    return s, ls, tb, {"v2": (hop.id,)}, 1e6
+
+
+def _c5b_over_one_cell():
+    # 60 Mbit/s to e1 and on through e1 to v2: each WiFi link carries at most
+    # 120 Mbit/s, but the 150 Mbit/s cell carries 180.
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0), make_edge("e1", 15, 0)],
+        traffic=60000.0,
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        mips_per_kbps=0.01,
+    )
+    hop = {(l.tx_node, l.rx_node): l.id for l in ls.links if l.medium == Medium.WIFI}
+    return s, ls, tb, {"e1": (hop["v1", "e1"],), "v2": (hop["v1", "e1"], hop["e1", "v2"])}, 30e6
+
+
+def _c5c_over_one_interface():
+    # Two 14 Mbit/s DSRC hops, each under rho_max, leave v1's 27 Mbit/s radio.
+    s, ls, tb = _ctx(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0), make_vehicle("v3", 0, 30)],
+        traffic=14000.0,
+        mips_per_kbps=0.01,
+    )
+    hop = {(l.tx_node, l.rx_node): l.id for l in ls.links if l.medium == Medium.DSRC}
+    return s, ls, tb, {"v2": (hop["v1", "v2"],), "v3": (hop["v1", "v3"],)}, 1e6
+
+
+@pytest.mark.parametrize(
+    "family,build",
+    [("C5a", _c5a_over_one_link), ("C5b", _c5b_over_one_cell), ("C5c", _c5c_over_one_interface)],
+)
+def test_evaluate_rejects_over_capacity(family, build):
+    s, ls, tb, routes, excess = build()
+    serving = tuple(sorted(routes))
+    alloc = Allocation(
+        {"d1": DemandAllocation(serving, {n: 1.0 / len(serving) for n in serving}, routes)}
+    )
+    with pytest.raises(AllocationError) as e:
+        evaluate(s, ls, tb, alloc, POWER)
+    assert e.value.family == family
+    assert e.value.slack == pytest.approx(excess, rel=1e-12)
+
+
 def test_evaluate_rejects_bad_route_shape():
     s, ls, tb = _two_vehicle()
     back = next(l for l in ls.links if l.tx_node == "v2" and l.medium == Medium.DSRC)

@@ -1,13 +1,7 @@
 import pytest
 
 from vecop.formulation import Allocation, DemandAllocation
-from vecop.powermodel import (
-    DeviceLoad,
-    OverCapacityError,
-    device_power,
-    device_specs,
-    system_power,
-)
+from vecop.powermodel import device_power, device_specs, system_power
 from vecop.scenario import Medium, ProcessingSetting, ProcessorSpec
 
 from conftest import make_cloud, make_edge, make_vehicle, small_scenario
@@ -21,23 +15,17 @@ def _local_alloc(demand_id="d1", node="v1"):
     )
 
 
+def _price(s, ls, alloc):
+    return system_power(s, ls, alloc.link_traffic(s), alloc.processing_mips(s))
+
+
 def test_device_power_formula():
     spec = ProcessorSpec(capacity=800.0, power_idle=5.0, power_max=10.0)
-    assert device_power(spec, DeviceLoad("d", False, 0.0)) == 0.0
-    assert device_power(spec, DeviceLoad("d", True, 0.0)) == 5.0
-    assert device_power(spec, DeviceLoad("d", True, 1.0)) == 10.0
-    assert device_power(spec, DeviceLoad("d", True, 0.5)) == 7.5
+    assert device_power(spec, 0.0) == 5.0
+    assert device_power(spec, 1.0) == 10.0
+    assert device_power(spec, 0.5) == 7.5
     # radiated component scales with utilization on top of the span
-    assert device_power(spec, DeviceLoad("d", True, 0.5, radiated_component=0.2)) == pytest.approx(
-        7.6, abs=TOL
-    )
-
-
-def test_device_load_invariants():
-    with pytest.raises(ValueError):
-        DeviceLoad("d", False, 0.5)
-    with pytest.raises(ValueError):
-        DeviceLoad("d", True, -0.1)
+    assert device_power(spec, 0.5, radiated_component=0.2) == pytest.approx(7.6, abs=TOL)
 
 
 def test_device_specs_ids(default_scenario):
@@ -54,7 +42,7 @@ def test_local_processing_only_cpu_draws():
     from vecop.linkmodel import build_links
 
     ls = build_links(s)
-    pb = system_power(s, ls, _local_alloc())
+    pb = _price(s, ls, _local_alloc())
     # 400 MIPS on an 800-MIPS vehicle: 5 + 5*0.5 = 7.5 W, nothing else active
     assert pb.per_device == {"v1.cpu": pytest.approx(7.5, abs=TOL)}
     assert pb.total == pytest.approx(7.5, abs=TOL)
@@ -69,7 +57,7 @@ def test_remote_dsrc_30m_power():
     alloc = Allocation(
         {"d1": DemandAllocation(serving=("v2",), fractions={"v2": 1.0}, routes={"v2": (link.id,)})}
     )
-    pb = system_power(s, ls, alloc)
+    pb = _price(s, ls, alloc)
     # frozen: u = 400e3/27e6; tx = 1 + 0.8u + u*rad(30 m); rx = 1 + 0.8u
     assert pb.per_device["v1.dsrc"] == pytest.approx(1.011868131415495, abs=1e-12)
     assert pb.per_device["v2.dsrc"] == pytest.approx(1.0118518518518518, abs=1e-12)
@@ -98,7 +86,7 @@ def test_core_energy_on_fiber():
             )
         }
     )
-    pb = system_power(s, ls, alloc)
+    pb = _price(s, ls, alloc)
     # 1 Mbit/s crossing the core at 2e-8 J/bit = 0.02 W
     assert pb.per_device["core"] == pytest.approx(0.02, abs=TOL)
     assert pb.per_device["cloud.cpu"] == pytest.approx(150.0 + 150.0 * 1000.0 / 50000.0, abs=TOL)
@@ -119,19 +107,8 @@ def test_interface_aggregation_shares_idle():
     alloc_one = Allocation(
         {"d1": DemandAllocation(("e1",), {"e1": 1.0}, {"e1": (l_v1e1.id,)})}
     )
-    pb = system_power(s, ls, alloc_one)
+    pb = _price(s, ls, alloc_one)
     spec = device_specs(s)["e1.wifi"]
     u = 400e3 / spec.capacity
     assert pb.per_device["e1.wifi"] == pytest.approx(5.5 + (25.0 - 5.5) * u, abs=1e-9)
 
-
-def test_over_capacity_raises():
-    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 10, 0)], traffic=400.0)
-    from vecop.linkmodel import build_links
-
-    ls = build_links(s)
-    bad = Allocation(
-        {"d1": DemandAllocation(("v2",), {"v2": 2.5}, {"v2": (ls.links[0].id,)})}
-    )
-    with pytest.raises(OverCapacityError):
-        system_power(s, ls, bad)

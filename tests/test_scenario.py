@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import json
+import math
 import re
 from pathlib import Path
 
@@ -151,6 +152,50 @@ def test_parse_rejects_malformed_json():
         parse_scenario("{not json")
 
 
+_DROP = object()
+
+# Golden node indices: v1..v8 are 0..7, e1 is 8, cloud is 10.
+BAD_FIELDS = [
+    pytest.param(("lot", "width"), math.inf, "lot_width", id="lot-inf"),
+    pytest.param(("lot", "width"), "40", "lot.width", id="lot-string"),
+    pytest.param(("nodes", 0, "position", "x"), math.nan, "position.x", id="position-nan"),
+    pytest.param(("nodes", 0, "position", "x"), _DROP, "position: missing field 'x'", id="position-x"),
+    pytest.param(("nodes", 0, "position"), [1, 2], "node v1.position", id="position-list"),
+    pytest.param(("nodes", 0), "v1", "nodes[0]", id="node-string"),
+    pytest.param(("nodes",), {}, "nodes: must be a list", id="nodes-object"),
+    pytest.param(("nodes", 0, "processor", "capacity_mips"), math.inf, "capacity", id="cpu-inf"),
+    pytest.param(("nodes", 0, "processor", "power_max_w"), None, "power_max_w", id="cpu-null"),
+    pytest.param(("nodes", 0, "radios", 0, "bandwidth_bps"), math.inf, "bandwidth", id="radio-inf"),
+    pytest.param(("nodes", 0, "radios", 0), "DSRC", "node v1.radio", id="radio-string"),
+    pytest.param(("nodes", 8, "onu", "fiber_capacity_bps"), -math.inf, "fiber_capacity", id="onu-inf"),
+    pytest.param(("nodes", 10, "fiber_length_m"), math.inf, "fiber_length", id="fiber-inf"),
+    pytest.param(("nodes", 10, "fiber_length_m"), True, "fiber_length_m", id="fiber-bool"),
+    pytest.param(("demands", 0, "traffic_kbps"), math.nan, "traffic", id="traffic-nan"),
+    pytest.param(("demands", 0, "load_mips"), math.inf, "load", id="load-inf"),
+    pytest.param(("demands", 0), 7, "demands[0]", id="demand-number"),
+    pytest.param(("settings", "core_energy_per_bit_j"), math.inf, "core_energy_per_bit", id="core-inf"),
+    pytest.param(("settings", "packet_size_bytes"), math.inf, "packet_size", id="packet-inf"),
+    pytest.param(("settings", "bins"), 64.7, "settings.bins", id="bins-float"),
+    pytest.param(("settings", "bins"), "64", "settings.bins", id="bins-string"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", BAD_FIELDS)
+def test_parse_rejects_bad_fields_by_name(path, value, field):
+    raw = json.loads(GOLDEN.read_text())
+    *parents, key = path
+    doc = raw
+    for p in parents:
+        doc = doc[p]
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    # json.dumps writes inf and nan as Infinity and NaN, and json.loads reads them.
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        parse_scenario(json.dumps(raw))
+
+
 def test_eligible_processors_by_setting(default_scenario):
     vo = dataclasses.replace(
         default_scenario,
@@ -173,6 +218,19 @@ def test_eligible_processors_by_setting(default_scenario):
     assert eligible_processors(vo) == {f"v{i}" for i in range(1, 9)}
     assert eligible_processors(ve) == {f"v{i}" for i in range(1, 9)} | {"e1", "e2"}
     assert eligible_processors(co) == {"cloud"}
+
+
+def test_validate_rejects_non_finite_fields(default_scenario):
+    v1 = default_scenario.nodes[0]
+    bad = dataclasses.replace(
+        default_scenario,
+        nodes=(
+            dataclasses.replace(v1, processor=dataclasses.replace(v1.processor, power_idle=math.nan)),
+            *default_scenario.nodes[1:],
+        ),
+    )
+    with pytest.raises(ScenarioError, match=re.escape("nodes[v1].processor.power_idle")):
+        validate(bad)
 
 
 def test_rho_max_bounds_validated():
