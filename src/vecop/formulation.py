@@ -309,10 +309,12 @@ def formulate(
     Constraint families (names carry the family prefix):
       C1 demand completion, C2 linking, C3 processing capacity,
       C4 per-target unsplittable routing (flow conservation + simple path),
-      C5b shared AP cell budget, C5c per-interface aggregate budget,
-      C6 traffic-driven activation (one row per stream, side and device:
-      the stream's route links out of, or into, the device sum to at most
-      its activation), C7 queue stability and queue delay (one
+      C5c per-interface aggregate budget (an AP's `.wifi` row is also its
+      cell's C5b budget), C6 traffic-driven activation (one C6_act row per
+      stream, side and device: the stream's route links out of, or into,
+      the device sum to at most its activation; one C6_exit row per demand:
+      the source serves it alone or some device receiving from the source
+      is active), C7 queue stability and queue delay (one
       C7_load row and one C7_queue secant row per step between kept bins),
       C8 queue-on-path gating, C9 max-delay epigraph.
 
@@ -465,21 +467,18 @@ def formulate(
             if out[v]:
                 con(f"C4_deg_{_nm(d.id)}_{_nm(n)}_{_nm(v)}", out[v], "<=", 1.0)
 
-    # C5b per-AP-cell and C5c per-interface budgets.
-    def budget(name: str, links: list[Link], limit: float) -> None:
-        coeffs = {rv: t for link in links for rv, t in carried[link.id].items()}
-        if coeffs:
-            con(name, coeffs, "<=", limit)
-
-    for e in scenario.edges():
-        budget(f"C5b_cell_{_nm(e.id)}", linkset.cell_links(e.id), e.radio(Medium.WIFI).bandwidth)
+    # C5c per-interface budgets. An AP cell's links are exactly those its
+    # `.wifi` interface terminates, within the AP bandwidth, so that
+    # interface's row is also the C5b cell budget.
     touching: dict[str, list[Link]] = {}
     for link in linkset.links:
         touching.setdefault(link.tx_device, []).append(link)
         touching.setdefault(link.rx_device, []).append(link)
     for dev in sorted(touching):
         if dev in specs:
-            budget(f"C5c_iface_{_nm(dev)}", touching[dev], specs[dev].capacity)
+            coeffs = {rv: t for link in touching[dev] for rv, t in carried[link.id].items()}
+            if coeffs:
+                con(f"C5c_iface_{_nm(dev)}", coeffs, "<=", specs[dev].capacity)
 
     # C6: carrying traffic activates both endpoint devices. A device sits on
     # one node, which C4 lets a stream leave and enter at most once, so one
@@ -494,6 +493,24 @@ def formulate(
             for dev, coeffs in act.items():
                 coeffs[a[dev]] = -1.0
                 con(f"C6_act_{_nm(d.id)}_{_nm(n)}_{side}_{_nm(dev)}", coeffs, "<=", 0.0)
+
+    # C6 source exit (a cut around the source): unless the source serves the
+    # demand alone, some remote target is served, and its path leaves the
+    # source on a held link, whose C6_act rx row activates the receiving
+    # device. Without it the LP pays a fraction of each receiver's idle power.
+    for d in scenario.demands:
+        exits = {
+            link.rx_device
+            for (dd, _n), links in routes.items() if dd.id == d.id
+            for link in links if link.tx_node == d.source
+        }
+        if not exits or not exits <= a.keys():
+            continue
+        coeffs = {a[dev]: 1.0 for dev in sorted(exits)}
+        s_key = (d.id, d.source)
+        if s_key in y and scenario.node(d.source).processor.capacity >= (d.load or 0.0):
+            coeffs[y[s_key]] = 1.0
+        con(f"C6_exit_{_nm(d.id)}", coeffs, ">=", 1.0)
 
     # C7: the arrival rate stays under rho_max * mu, and with delay it is
     # covered by n bins of the first bin's width. Q lies on or above every
@@ -644,9 +661,11 @@ def model_census_formula(
     )
     binaries = len(devices) + targets + len(arcs)
 
-    cells = sum(
-        1 for e in scenario.edges() if any(l.id in used for l in linkset.cell_links(e.id))
-    )
+    exits = [
+        {l.rx_device for (dd, _n), links in streams.items() if dd.id == d.id
+         for l in links if l.tx_node == d.source}
+        for d in scenario.demands
+    ]
     constraints = (
         d_count  # C1
         + 2 * targets  # C2
@@ -656,13 +675,13 @@ def model_census_formula(
             + len({l.tx_node for l in links})
             for s, n, links in routes
         )
-        + cells  # C5b
         + len(ends)  # C5c
         + sum(  # C6, per stream, side and device
             len({l.tx_device for l in links} & specs.keys())
             + len({l.rx_device for l in links} & specs.keys())
             for _s, _n, links in routes
         )
+        + sum(1 for e in exits if e and e <= specs.keys())  # C6 source exit
         + len(used) + steps  # C7 load, queue secants
         + len(arcs)  # C8
         + len(routes)  # C9
@@ -714,8 +733,8 @@ def evaluate(
 
     Raises AllocationError at the first violated family (C1-C5, C7). No
     other module checks an allocation: powermodel.system_power prices only
-    what passed here. Link traffic and processor MIPS are computed once and
-    shared by the checks, the queue rates and the pricing.
+    what passed here. Link traffic, processor MIPS and the device specs are
+    computed once and shared by the checks, the queue rates and the pricing.
     """
     eligible = eligible_processors(scenario)
 
@@ -775,7 +794,7 @@ def evaluate(
         if rate > cap * (1.0 + FRACTION_TOL):
             raise AllocationError("C7", f"link {link_id}", rate - cap, "exceeds rho_max")
 
-    breakdown = powermodel.system_power(scenario, linkset, link_traffic, processing_mips)
+    breakdown = powermodel.system_power(scenario, linkset, link_traffic, processing_mips, specs)
 
     per_target_delay: dict[str, dict[str, float]] = {}
     max_delay = 0.0

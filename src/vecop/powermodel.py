@@ -74,9 +74,11 @@ def system_power(
     linkset: LinkSet,
     link_traffic: dict[str, float],
     processing_mips: dict[str, float],
+    specs: dict[str, _DeviceSpec],
 ) -> PowerBreakdown:
     """Total and per-device power of a checked allocation, given as its
-    `Allocation.link_traffic` (bit/s per link) and `processing_mips`.
+    `Allocation.link_traffic` (bit/s per link) and `processing_mips`, with
+    the scenario's `device_specs`.
 
     A device is active iff it processes or carries nonzero traffic.
     Interface utilization aggregates traffic over every link the interface
@@ -84,8 +86,6 @@ def system_power(
     radiated power of its transmitting links. The total sums processors
     (in `processing_mips` order), then interfaces (in link order), then core.
     """
-    specs = device_specs(scenario)
-
     # Traffic and radiated power aggregated per interface device.
     dev_traffic: dict[str, float] = {}
     dev_radiated: dict[str, float] = {}  # sum of radiated_l * traffic_l over tx links

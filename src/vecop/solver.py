@@ -70,7 +70,7 @@ CAPACITY_TOL = 1e-9
 # Largest instance solve() takes without Limits.force.
 MAX_NODES = 12
 # Largest objective cost handed to HiGHS (see solve()).
-OBJECTIVE_PEAK = 1e3
+OBJECTIVE_PEAK = 1e5
 # Largest instance brute_force enumerates.
 BRUTE_FORCE_MAX_NODES = 6
 # Relative slack on a delay cap, so that the allocation it was taken from
@@ -356,10 +356,13 @@ def solve(
 
     model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
     names, c, integrality, bounds, constraint = _to_arrays(model)
-    # HiGHS prunes nodes within 1e-6 objective units of the incumbent. Any
-    # objective (power-only tens of watts, joint about 1, delay-only about
-    # 3e-4) would lose better allocations within that gap, so its costs are
-    # scaled up to OBJECTIVE_PEAK; the reported numbers come from evaluate().
+    # HiGHS prunes nodes within 1e-6 objective units of the incumbent, and
+    # its LP tolerances on reduced costs are absolute too. Any objective
+    # (power-only tens of watts, joint about 1, delay-only about 3e-4)
+    # would lose better allocations within them, so its costs are scaled
+    # up to OBJECTIVE_PEAK. At a peak of 1e3 two access points about 1e-11
+    # of the power apart still went to the worse one; 1e5 keeps them apart.
+    # The reported numbers come from evaluate().
     peak = np.abs(c).max(initial=0.0)
     scale = OBJECTIVE_PEAK / peak if 0.0 < peak < OBJECTIVE_PEAK else 1.0
     c = c * scale

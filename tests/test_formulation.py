@@ -1,12 +1,13 @@
 import bisect
 import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
 from scipy.optimize import milp
 
-from vecop import delaymodel, linkmodel
+from vecop import delaymodel, linkmodel, powermodel
 from vecop.formulation import (
     DELAY_UNIT,
     INTEGER,
@@ -35,7 +36,7 @@ from vecop.scenario import (
     eligible_processors,
     validate,
 )
-from vecop.solver import _all_simple_paths, _to_arrays
+from vecop.solver import _all_simple_paths, _to_arrays, brute_force
 
 from conftest import (
     make_edge,
@@ -216,7 +217,7 @@ def test_delay_cap_zero_leaves_only_local_processing():
 
 def test_constraint_families_present(default_model):
     prefixes = {c.name.split("_")[0] for c in default_model.constraints}
-    assert prefixes == {"C1", "C2", "C3", "C4", "C5b", "C5c", "C6", "C7", "C8", "C9"}
+    assert prefixes == {"C1", "C2", "C3", "C4", "C5c", "C6", "C7", "C8", "C9"}
 
 
 def _families(model):
@@ -508,6 +509,64 @@ def test_activation_rows_aggregate_per_stream_side_and_device(default_model, def
     tb = delaymodel.build_tables(s, ls)
     for weights in (POWER, JOINT):
         _check_activation_rows(ls, formulate(s, ls, tb, weights))
+
+
+def _point_of(model, scenario, linkset, allocation):
+    """The power-only model's variable values at `allocation`: x, y and r
+    from it, and a = 1 on each device it processes on or carries traffic
+    through. Every value it sets must name a declared variable."""
+    value = {v.name: 0.0 for v in model.variables}
+
+    def put(name, v):
+        assert name in value, name
+        value[name] = v
+
+    traffic = allocation.link_traffic(scenario)
+    active = {f"{n}.cpu" for n in allocation.processing_mips(scenario)}
+    for link in linkset.links:
+        if traffic.get(link.id, 0.0) > 0.0:
+            active |= {link.tx_device, link.rx_device}
+    for dev in active & powermodel.device_specs(scenario).keys():
+        put(f"a_{_nm(dev)}", 1.0)
+    r = model.metadata["r"]
+    for d_id, da in allocation.demands.items():
+        for n in da.serving:
+            put(model.metadata["y"][d_id, n], 1.0)
+            put(f"x_{_nm(d_id)}_{_nm(n)}", da.fractions[n])
+            for l_id in da.routes.get(n, ()):
+                put(r[d_id, n, l_id], 1.0)
+    return value
+
+
+def test_power_model_accepts_the_oracle_optimum():
+    # Every row of the power-only model, C6_exit included, holds at the
+    # oracle's optimum, and the objective prices it at the oracle's power:
+    # so no row cuts off that optimum, whatever HiGHS returns.
+    checked = local = 0
+    for seed in range(100):
+        s = random_oracle_instance(seed)
+        ls = linkmodel.build_links(s)
+        tb = delaymodel.build_tables(s, ls)
+        best = brute_force(s, ls, tb, POWER)
+        if best.status != "optimal":
+            continue
+        model = formulate(s, ls, tb, POWER)
+        value = _point_of(model, s, ls, best.allocation)
+        for v in model.variables:
+            assert v.lower <= value[v.name] <= (math.inf if v.upper is None else v.upper)
+        for c in model.constraints:
+            lhs = sum(coef * value[name] for name, coef in c.coeffs.items())
+            tol = 1e-9 * max(1.0, abs(c.rhs))
+            ok = {"<=": lhs <= c.rhs + tol, ">=": lhs >= c.rhs - tol, "=": abs(lhs - c.rhs) <= tol}
+            assert ok[c.sense], f"seed {seed}: {c.name}: {lhs!r} {c.sense} {c.rhs!r}"
+        priced = sum(coef * value[name] for name, coef in model.objective.items())
+        assert priced == pytest.approx(best.total_power, rel=1e-9), f"seed {seed}"
+        assert any(c.name.startswith("C6_exit_") for c in model.constraints), f"seed {seed}"
+        checked += 1
+        local += best.allocation.demands["d1"].serving == ("v1",)
+    # The corpus has optima that serve at the source alone, where only the
+    # y term of C6_exit holds the row, and optima that leave it.
+    assert 0 < local < checked
 
 
 def test_model_rejects_undeclared_names():

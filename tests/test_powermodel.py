@@ -16,7 +16,7 @@ def _local_alloc(demand_id="d1", node="v1"):
 
 
 def _price(s, ls, alloc):
-    return system_power(s, ls, alloc.link_traffic(s), alloc.processing_mips(s))
+    return system_power(s, ls, alloc.link_traffic(s), alloc.processing_mips(s), device_specs(s))
 
 
 def test_device_power_formula():

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 
 from vecop import delaymodel, harness, linkmodel, solver
-from vecop.formulation import evaluate, route_links, stream_links
+from vecop.formulation import (
+    Allocation,
+    DemandAllocation,
+    evaluate,
+    route_links,
+    stream_links,
+)
 from vecop.scenario import (
     POWER_WEIGHTS,
+    NodeKind,
     ObjectiveWeights,
     ProcessingSetting,
+    generate_default,
     validate,
 )
 from vecop.solver import (
@@ -483,6 +491,34 @@ def test_brute_force_infeasible_reason():
     r = brute_force(s, ls, tb, POWER)
     assert r.status == "infeasible"
     assert r.infeasible_reason.startswith("C3")
+
+
+def test_power_only_is_exact_across_the_access_point_tie():
+    # Cloud-only at 1000 kbps: the stream reaches the cloud over either AP,
+    # and the two allocations' powers are about 1e-11 of the power apart,
+    # within HiGHS's absolute tolerances unless the objective is scaled far
+    # enough up. The reported optimum may not be the worse of them. Pairs
+    # under 1e-12 apart are still a tie at OBJECTIVE_PEAK (lots 17 and 34).
+    for lot in range(10):
+        s = harness._with_demand(generate_default(lot), 1000.0, ProcessingSetting.CLOUD_ONLY)
+        ls, tb = _ctx(s)
+        got = solve(s, ls, tb, POWER)
+        assert got.status == "optimal"
+        (d,) = s.demands
+        powers = []
+        for first in ls.out_links(d.source):
+            if s.node(first.rx_node).kind != NodeKind.EDGE:
+                continue
+            for second in ls.out_links(first.rx_node):
+                if second.rx_node != "cloud":
+                    continue
+                alloc = Allocation(
+                    {d.id: DemandAllocation(("cloud",), {"cloud": 1.0},
+                                            {"cloud": (first.id, second.id)})}
+                )
+                powers.append(evaluate(s, ls, tb, alloc, POWER).total_power)
+        assert len(powers) >= 2, f"lot {lot}"
+        assert got.total_power <= min(powers), f"lot {lot}: {got.total_power!r} > {powers!r}"
 
 
 @pytest.mark.parametrize("seed", [3, 17, 42])
