@@ -1,8 +1,8 @@
 """Run a reduced demand sweep (three demand sizes, all settings, both
 objectives) and print the sweep CSV plus the four comparison metrics.
 
-On a 2-core machine the full six-point sweep takes about 6 seconds on one
-thread, and this reduced one about 2.3 seconds.
+On a 2-core machine the full six-point sweep takes 5.6-6.6 seconds on one
+thread, and this reduced one 1.0-1.7 seconds on three.
 Run:  python3 demos/sweep_small.py
 """
 

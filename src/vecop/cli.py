@@ -356,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InstanceTooLarge, SolverStopped) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMITS
-    except (ScenarioError, harness.HarnessError, lp_io.LpParseError, ValueError) as e:
+    except (ScenarioError, harness.HarnessError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except FileNotFoundError as e:

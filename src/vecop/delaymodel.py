@@ -103,8 +103,6 @@ def lookup(table: DelayTable, lam: float) -> float:
             )
         lam = top
     k = bisect.bisect_left(table.arrival_bounds, lam)
-    if k == len(table.arrival_bounds):  # lam == top within float noise
-        k -= 1
     return table.delays[k]
 
 

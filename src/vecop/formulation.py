@@ -767,21 +767,20 @@ def evaluate(
             raise AllocationError("C3", f"node {n_id}", mips - cap)
 
     link_traffic = allocation.link_traffic(scenario)
+    iface_t: dict[str, float] = {}
     for link in linkset.links:
         t = link_traffic.get(link.id, 0.0)
         if t > link.capacity * (1.0 + FRACTION_TOL):
             raise AllocationError("C5a", f"link {link.id}", t - link.capacity)
+        iface_t[link.tx_device] = iface_t.get(link.tx_device, 0.0) + t
+        iface_t[link.rx_device] = iface_t.get(link.rx_device, 0.0) + t
+    # A cell's links are exactly those its AP's `.wifi` interface terminates.
     for e in scenario.edges():
-        cell_t = sum(link_traffic.get(l.id, 0.0) for l in linkset.cell_links(e.id))
+        cell_t = iface_t.get(f"{e.id}.wifi", 0.0)
         ap_bw = e.radio(Medium.WIFI).bandwidth
         if cell_t > ap_bw * (1.0 + FRACTION_TOL):
             raise AllocationError("C5b", f"cell {e.id}", cell_t - ap_bw)
     specs = powermodel.device_specs(scenario)
-    iface_t: dict[str, float] = {}
-    for link in linkset.links:
-        t = link_traffic.get(link.id, 0.0)
-        iface_t[link.tx_device] = iface_t.get(link.tx_device, 0.0) + t
-        iface_t[link.rx_device] = iface_t.get(link.rx_device, 0.0) + t
     for dev, t in iface_t.items():
         spec = specs.get(dev)
         if spec is not None and t > spec.capacity * (1.0 + FRACTION_TOL):

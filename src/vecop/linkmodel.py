@@ -89,14 +89,6 @@ class LinkSet:
     def out_links(self, node_id: str) -> list[Link]:
         return list(self._out.get(node_id, []))
 
-    def cell_links(self, ap_node_id: str) -> list[Link]:
-        """All WiFi links sharing the given edge node's access-point cell."""
-        return [
-            l
-            for l in self.links
-            if l.medium == Medium.WIFI and ap_node_id in (l.tx_node, l.rx_node)
-        ]
-
 
 def _distance(a: NodeSpec, b: NodeSpec) -> float:
     assert a.position is not None and b.position is not None

@@ -2,14 +2,14 @@
 
 The writer is canonical (terms sorted by variable name, repr float
 formatting) so export -> read -> export is byte-stable. The reader accepts
-the dialect the writer produces plus the common section spellings
-("Subject To" / "st", "Binaries" / "Binary", "Generals" / "General"). A
-MilpModel is always minimized, so the reader rejects a "Maximize" section.
+exactly the dialect the writer produces: the headers "Minimize", "Subject
+To", "Bounds", "Binaries", "Generals" and "End", one statement per line,
+and "\\" comments. A MilpModel is always minimized, so the reader rejects
+a "Maximize" section.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
 from .formulation import BINARY, CONTINUOUS, INTEGER, Constraint, MilpModel, Variable
@@ -22,8 +22,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(line: str) -> list[str]:
-    return _TOKEN_RE.findall(line)
+def _tokenize(line: str, line_no: int) -> list[str]:
+    tokens = _TOKEN_RE.findall(line)
+    if "".join(tokens) != "".join(line.split()):
+        raise LpParseError(line_no, f"unexpected character in {line!r}")
+    return tokens
 
 __all__ = ["export_lp", "read_lp", "LpParseError", "structurally_equal"]
 
@@ -80,22 +83,7 @@ def export_lp(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SECTIONS = {
-    "minimize": "objective",
-    "min": "objective",
-    "subject to": "constraints",
-    "such that": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "bound": "bounds",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "generals": "generals",
-    "general": "generals",
-    "end": "end",
-}
+_HEADERS = ("Minimize", "Subject To", "Bounds", "Binaries", "Generals", "End")
 
 
 def _is_number(tok: str) -> bool:
@@ -136,113 +124,75 @@ def _parse_expr(tokens: list[str], line_no: int) -> dict[str, float]:
 
 
 def read_lp(text: str) -> MilpModel:
-    objective: dict[str, float] = {}
+    """Read the dialect `export_lp` writes, one statement per line.
+
+    Anything else, such as another spelling of a header, a row wrapped onto
+    a second line or a `free` bound, raises LpParseError naming its line.
+    """
+    objective: dict[str, float] | None = None
     constraints: list[Constraint] = []
     bounds: dict[str, tuple[float, float | None]] = {}
     kinds: dict[str, str] = {}
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def note(names):
-        for n in names:
-            if n not in seen:
-                seen.add(n)
-                order.append(n)
+    order: dict[str, None] = {}  # variable names in order of first use
 
     section = None
-    # Constraints and the objective may span lines; accumulate until complete.
-    pending: list[str] = []
-    pending_name = None
-    pending_line = 0
-
-    def flush_constraint():
-        nonlocal pending, pending_name
-        if not pending and pending_name is None:
-            return
-        toks = pending
-        sense_idx = next(
-            (i for i, t in enumerate(toks) if t in ("<=", ">=", "=", "<", ">")), None
-        )
-        if sense_idx is None:
-            raise LpParseError(pending_line, "constraint without a sense")
-        sense = {"<": "<=", ">": ">="}.get(toks[sense_idx], toks[sense_idx])
-        lhs = _parse_expr(toks[:sense_idx], pending_line)
-        rhs_toks = toks[sense_idx + 1 :]
-        rhs_sign = 1.0
-        if rhs_toks and rhs_toks[0] == "-":
-            rhs_sign, rhs_toks = -1.0, rhs_toks[1:]
-        if len(rhs_toks) != 1 or not _is_number(rhs_toks[0]):
-            raise LpParseError(pending_line, "constraint right-hand side must be a number")
-        name = pending_name or f"c{len(constraints) + 1}"
-        constraints.append(Constraint(name, lhs, sense, rhs_sign * float(rhs_toks[0])))
-        note(lhs.keys())
-        pending, pending_name = [], None
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("\\")[0].strip()
         if not line:
             continue
-        key = line.lower()
-        if key in ("maximize", "max"):
+        if line.lower() in ("maximize", "max"):
             raise LpParseError(line_no, "a maximized objective is not supported")
-        if key in _SECTIONS:
-            if section == "constraints":
-                flush_constraint()
-            section = _SECTIONS[key]
-            if section == "end":
+        if line in _HEADERS:
+            section = line
+            if section == "End":
                 break
             continue
-        if section == "objective":
-            toks = _tokenize(line)
-            if ":" in toks:
-                toks = toks[toks.index(":") + 1 :]
-            for name, c in _parse_expr(toks, line_no).items():
-                objective[name] = objective.get(name, 0.0) + c
-            note(objective.keys())
-        elif section == "constraints":
-            toks = _tokenize(line)
-            if ":" in toks:
-                flush_constraint()
-                idx = toks.index(":")
-                if idx != 1:
-                    raise LpParseError(line_no, "malformed constraint label")
-                pending_name = toks[0]
-                toks = toks[idx + 1 :]
-                pending_line = line_no
-            pending.extend(toks)
-        elif section == "bounds":
-            toks = _tokenize(line)
-            if len(toks) == 2 and toks[1].lower() == "free":
-                bounds[toks[0]] = (-math.inf, None)
-                note([toks[0]])
-            elif len(toks) == 3 and toks[1] in ("<=", ">=", "="):
-                name_first = not _is_number(toks[0])
-                name = toks[0] if name_first else toks[2]
-                val = float(toks[2] if name_first else toks[0])
-                op = toks[1]
-                lo, up = bounds.get(name, (0.0, None))
-                if op == "=":
-                    lo, up = val, val
-                elif (op == ">=" and name_first) or (op == "<=" and not name_first):
-                    lo = val
-                else:
-                    up = val
-                bounds[name] = (lo, up)
-                note([name])
-            elif len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-                bounds[toks[2]] = (float(toks[0]), float(toks[4]))
-                note([toks[2]])
+        if section == "Minimize":
+            toks = _tokenize(line, line_no)
+            if objective is not None or toks[:2] != ["obj", ":"]:
+                raise LpParseError(line_no, "the objective must be one 'obj: <expr>' line")
+            objective = _parse_expr(toks[2:], line_no)
+            names = objective
+        elif section == "Subject To":
+            toks = _tokenize(line, line_no)
+            if len(toks) < 2 or toks[1] != ":":
+                raise LpParseError(line_no, "constraint without a name")
+            sense_idx = next((i for i, t in enumerate(toks) if t in ("<=", ">=", "=")), None)
+            if sense_idx is None:
+                raise LpParseError(line_no, "constraint without a sense")
+            lhs = _parse_expr(toks[2:sense_idx], line_no)
+            rhs_toks = toks[sense_idx + 1 :]
+            rhs_sign = 1.0
+            if rhs_toks and rhs_toks[0] == "-":
+                rhs_sign, rhs_toks = -1.0, rhs_toks[1:]
+            if len(rhs_toks) != 1 or not _is_number(rhs_toks[0]):
+                raise LpParseError(line_no, "constraint right-hand side must be a number")
+            constraints.append(
+                Constraint(toks[0], lhs, toks[sense_idx], rhs_sign * float(rhs_toks[0]))
+            )
+            names = lhs
+        elif section == "Bounds":
+            parts = line.split()
+            if len(parts) == 3 and parts[1] == ">=" and _is_number(parts[2]):
+                bounds[parts[0]] = (float(parts[2]), None)
+                names = [parts[0]]
+            elif (
+                len(parts) == 5
+                and parts[1] == parts[3] == "<="
+                and _is_number(parts[0])
+                and _is_number(parts[4])
+            ):
+                bounds[parts[2]] = (float(parts[0]), float(parts[4]))
+                names = [parts[2]]
             else:
                 raise LpParseError(line_no, f"unrecognized bounds line: {raw.strip()!r}")
-        elif section in ("binaries", "generals"):
+        elif section in ("Binaries", "Generals"):
             names = line.split()
             for name in names:
-                kinds[name] = BINARY if section == "binaries" else INTEGER
-            note(names)
+                kinds[name] = BINARY if section == "Binaries" else INTEGER
         else:
             raise LpParseError(line_no, "content before the objective section")
-    if section == "constraints":
-        flush_constraint()
+        order.update(dict.fromkeys(names))
 
     variables = []
     for name in order:
@@ -252,7 +202,7 @@ def read_lp(text: str) -> MilpModel:
         else:
             lo, up = bounds.get(name, (0.0, None))
             variables.append(Variable(name, kind, lo, up))
-    return MilpModel(tuple(variables), tuple(constraints), objective, {})
+    return MilpModel(tuple(variables), tuple(constraints), objective or {}, {})
 
 
 def structurally_equal(m1: MilpModel, m2: MilpModel, tol: float = 1e-12) -> bool:

@@ -26,7 +26,7 @@ from vecop.scenario import (
     parse_scenario,
 )
 
-from conftest import make_vehicle, random_oracle_instance, small_scenario
+from conftest import make_cloud, make_edge, make_vehicle, random_oracle_instance, small_scenario
 
 GOLDEN = str(importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json")
 
@@ -491,3 +491,36 @@ def test_report_requires_cloud(tiny_scenario_path, capsys):
     )
     assert code == EXIT_VALIDATION
     assert "baseline absent" in capsys.readouterr().err
+
+
+def test_report_text_and_json(tmp_path, capsys):
+    s = small_scenario(
+        [
+            make_vehicle("v1", 5, 20),
+            make_vehicle("v2", 25, 20),
+            make_edge("e1", 15, 10),
+            make_cloud(),
+        ],
+        traffic=1000.0,
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        bins=8,
+    )
+    path = tmp_path / "cloud.json"
+    path.write_text(emit_scenario(s))
+    args = ["report", "--scenario", str(path), "--demands", "1000",
+            "--settings", "VEHICLES_AND_EDGE", "CLOUD_ONLY"]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    out = tmp_path / "report.json"
+    assert main(args + ["--json", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["settings"] == ["VEHICLES_AND_EDGE", "CLOUD_ONLY"]
+    fam = doc["families"]
+    saving = fam["power_saving_vs_cloud_pct"]["VEHICLES_AND_EDGE"]["1000.0"]
+    edge_vs_cloud = fam["delay_reduction_edge_vs_cloud_pct"]["1000.0"]
+    assert 0.0 < saving < 100.0 and 0.0 < edge_vs_cloud < 100.0
+    # The text form prints the same numbers under the family headings.
+    at = lines.index("power saving vs cloud (power-only):")
+    assert lines[at + 1] == f"  VEHICLES_AND_EDGE @ 1000 kbps: {harness._fmt(saving)}%"
+    at = lines.index("delay reduction, vehicles+edge vs cloud (joint):")
+    assert lines[at + 1] == f"  @ 1000 kbps: {harness._fmt(edge_vs_cloud)}%"

@@ -622,23 +622,59 @@ def test_evaluate_remote_delay():
     )
 
 
+def _alloc(serving, fractions, routes):
+    return Allocation({"d1": DemandAllocation(serving, fractions, routes)})
+
+
 @pytest.mark.parametrize(
     "family,mutate",
     [
-        ("C1", lambda a: Allocation({"d1": DemandAllocation(("v1",), {"v1": 0.6}, {"v1": ()})})),
-        ("C2", lambda a: Allocation({"d1": DemandAllocation((), {"v1": 1.0}, {})})),
-        (
+        ("C1", lambda hop: _alloc(("v1",), {"v1": 0.6}, {"v1": ()})),
+        ("C2", lambda hop: _alloc((), {"v1": 1.0}, {})),
+        ("C4", lambda hop: _alloc(("v2",), {"v2": 1.0}, {"v2": ()})),
+        pytest.param("C1", lambda hop: Allocation({}), id="C1-demand-missing"),
+        pytest.param(
+            "C1",
+            lambda hop: _alloc(("v1", "v2"), {"v1": 1.5, "v2": -0.5}, {"v1": (), "v2": ()}),
+            id="C1-fraction-outside-0-1",
+        ),
+        pytest.param(
+            "C2",
+            lambda hop: _alloc(("e1",), {"e1": 1.0}, {"e1": (hop["v1", "e1"],)}),
+            id="C2-node-not-eligible",
+        ),
+        pytest.param(
             "C4",
-            lambda a: Allocation(
-                {"d1": DemandAllocation(("v2",), {"v2": 1.0}, {"v2": ()})}
+            lambda hop: _alloc(("v1",), {"v1": 1.0}, {"v1": (hop["v1", "v2"],)}),
+            id="C4-source-route-not-empty",
+        ),
+        pytest.param(
+            "C4",
+            lambda hop: _alloc(
+                ("v2",), {"v2": 1.0}, {"v2": (hop["v1", "v2"], hop["v2", "v3"], hop["v3", "v2"])}
             ),
+            id="C4-route-revisits-a-vertex",
+        ),
+        pytest.param(
+            "C4",
+            lambda hop: _alloc(("v3",), {"v3": 1.0}, {"v3": (hop["v1", "v2"],)}),
+            id="C4-route-ends-elsewhere",
         ),
     ],
 )
 def test_evaluate_rejects_by_family(family, mutate):
-    s, ls, tb = _two_vehicle()
+    # Vehicles only, so the edge node e1 is in range but may not serve.
+    s, ls, tb = _ctx(
+        [
+            make_vehicle("v1", 0, 0),
+            make_vehicle("v2", 30, 0),
+            make_vehicle("v3", 15, 20),
+            make_edge("e1", 15, 0),
+        ]
+    )
+    hop = {(l.tx_node, l.rx_node): l.id for l in ls.links}
     with pytest.raises(AllocationError) as e:
-        evaluate(s, ls, tb, mutate(None), POWER)
+        evaluate(s, ls, tb, mutate(hop), POWER)
     assert e.value.family == family
 
 

@@ -181,8 +181,3 @@ def test_linkset_indices(default_linkset):
     l0 = default_linkset.links[0]
     assert default_linkset.link(l0.id) is l0
     assert l0 in default_linkset.out_links(l0.tx_node)
-    cell = default_linkset.cell_links("e1")
-    assert all(l.medium == Medium.WIFI for l in cell)
-    assert all("e1" in (l.tx_node, l.rx_node) for l in cell)
-    # 8 vehicles up + 8 down + AP<->AP both directions
-    assert len(cell) == 18

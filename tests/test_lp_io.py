@@ -60,52 +60,15 @@ def test_round_trip_default_model(default_scenario, default_linkset, default_tab
     assert export_lp(read_lp(text2)) == text2
 
 
-def test_reader_accepts_alternate_spellings():
-    text = (
-        "min\n"
-        " obj: 2 x1 + b1\n"
-        "st\n"
-        " c1: x1 + 2.0 x2 <= 3\n"
-        " c2: x1 - b1 >= -0.5\n"
-        "bound\n"
-        " 0.0 <= x1 <= 1.0\n"
-        " x2 >= 0.0\n"
-        "binary\n"
-        " b1\n"
-        "End\n"
-    )
-    m = read_lp(text)
-    assert m.objective == {"x1": 2.0, "b1": 1.0}
-    assert [c.sense for c in m.constraints] == ["<=", ">="]
-    assert m.constraints[1].rhs == -0.5
-    kinds = {v.name: v.kind for v in m.variables}
-    assert kinds["b1"] == BINARY and kinds["x1"] == CONTINUOUS
-
-
 def test_reader_reads_generals_as_integers():
     m = read_lp(
         "Minimize\n obj: x + n + m\nSubject To\n c1: x + n + m >= 1.5\n"
-        "Bounds\n 1 <= n <= 4\nGenerals\n n\nGeneral\n m\nEnd\n"
+        "Bounds\n 1 <= n <= 4\nGenerals\n n\n m\nEnd\n"
     )
     variables = {v.name: v for v in m.variables}
     assert variables["n"] == Variable("n", INTEGER, 1.0, 4.0)
     assert variables["m"] == Variable("m", INTEGER, 0.0, None)
     assert variables["x"].kind == CONTINUOUS
-
-
-def test_reader_handles_multiline_constraints():
-    text = (
-        "Minimize\n"
-        " obj: x1\n"
-        "Subject To\n"
-        " c1: x1 + x2\n"
-        "   + 3 x3 <= 10\n"
-        "Bounds\n"
-        " x1 >= 0.0\n x2 >= 0.0\n x3 >= 0.0\n"
-        "End\n"
-    )
-    m = read_lp(text)
-    assert m.constraints[0].coeffs == {"x1": 1.0, "x2": 1.0, "x3": 3.0}
 
 
 def test_reader_implicit_coefficients_and_signs():
@@ -126,6 +89,26 @@ def test_parse_error_reports_line():
 
     with pytest.raises(LpParseError, match="before the objective"):
         read_lp("x1 <= 3\nEnd\n")
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("min\n obj: x\nSubject To\n c1: x <= 1\nEnd\n", 1),
+        ("Minimize\n obj: x\nst\n c1: x <= 1\nEnd\n", 3),
+        ("Minimize\n obj: x\nSubject To\n c1: x + y\n   + 3 z <= 10\nEnd\n", 4),
+        ("Minimize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n x free\nEnd\n", 6),
+        ("Minimize\n obj: x\nSubject To\n x + y <= 1\nEnd\n", 4),
+        ("Minimize\n obj: x\nSubject To\n c1: x < 1\nEnd\n", 4),
+    ],
+    ids=["min", "st", "wrapped-row", "free-bound", "unnamed-row", "less-than"],
+)
+def test_reader_rejects_forms_export_never_writes(text, line_no):
+    # Each of these is valid CPLEX LP elsewhere; reading it must fail loudly
+    # at its line rather than yield a different model.
+    with pytest.raises(LpParseError) as e:
+        read_lp(text)
+    assert e.value.line_no == line_no
 
 
 @pytest.mark.parametrize("header", ["Maximize", "max", "MAX"])

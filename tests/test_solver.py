@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import os
+import random
 import sys
 import threading
 
@@ -10,6 +11,7 @@ import pytest
 from vecop import delaymodel, harness, linkmodel, solver
 from vecop.formulation import (
     Allocation,
+    AllocationError,
     DemandAllocation,
     evaluate,
     route_links,
@@ -20,6 +22,7 @@ from vecop.scenario import (
     NodeKind,
     ObjectiveWeights,
     ProcessingSetting,
+    ProcessorSpec,
     generate_default,
     validate,
 )
@@ -234,6 +237,17 @@ def test_joint_weights_power_only_when_delay_optimum_is_zero():
     assert w == POWER
     assert cap is None
 
+
+def test_joint_weights_power_only_when_the_delay_pre_solve_finds_zero():
+    # v1's own processor draws 40-45 W, so the power optimum sends the stream
+    # to v2 (T_p > 0); processing at the source still gives T* = 0.
+    v1 = dataclasses.replace(make_vehicle("v1", 5, 20), processor=ProcessorSpec(800.0, 40.0, 45.0))
+    s = small_scenario([v1, make_vehicle("v2", 25, 20)], traffic=400.0, bins=8)
+    ls, tb = _ctx(s)
+    power = solve(s, ls, tb, POWER)
+    assert power.allocation.demands["d1"].serving == ("v2",)
+    assert power.max_delay > 0.0
+    assert joint_weights(s, ls, tb, power) == (POWER, None)
 
 def test_joint_weights_normalize_by_both_optima(monkeypatch):
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
@@ -533,6 +547,46 @@ def test_solver_oracle_spot_checks(seed):
             assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
 
 
+
+def _capacity_bound_instance(seed):
+    """3-4 vehicles, an edge node half the time, and 9-14 Mbit/s on 27
+    Mbit/s DSRC radios: routes that share a link or an interface overload it."""
+    rng = random.Random(seed)
+    nodes = [
+        make_vehicle(f"v{i + 1}", round(rng.uniform(0, 40), 3), round(rng.uniform(0, 40), 3))
+        for i in range(rng.randint(3, 4))
+    ]
+    setting = ProcessingSetting.VEHICLES_ONLY
+    if rng.random() < 0.5:
+        nodes.append(make_edge("e1", round(rng.uniform(0, 40), 3), round(rng.uniform(0, 40), 3)))
+        setting = ProcessingSetting.VEHICLES_AND_EDGE
+    traffic = rng.choice([9000.0, 12000.0, 14000.0])
+    return small_scenario(nodes, traffic=traffic, setting=setting, mips_per_kbps=0.15, bins=8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_matches_oracle_where_capacities_bind(seed, monkeypatch):
+    rejected = 0
+
+    def counting_evaluate(*args):
+        nonlocal rejected
+        try:
+            return evaluate(*args)
+        except AllocationError:
+            rejected += 1
+            raise
+
+    monkeypatch.setattr(solver, "evaluate", counting_evaluate)
+    s = _capacity_bound_instance(seed)
+    ls, tb = _ctx(s)
+    for w in (POWER, JOINT, DELAY):
+        rejected = 0
+        b = brute_force(s, ls, tb, w)
+        assert rejected > 0, "no candidate hit a capacity: the instance binds nothing"
+        a = solve(s, ls, tb, w)
+        assert a.status == b.status
+        if a.status == "optimal":
+            assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
 
 @pytest.mark.parametrize("seed", [6, 11, 23, 81])
 def test_delay_only_matches_oracle(seed):
