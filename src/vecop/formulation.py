@@ -626,74 +626,6 @@ def model_census(model: MilpModel) -> dict[str, int]:
     }
 
 
-def model_census_formula(
-    scenario: Scenario,
-    linkset: LinkSet,
-    tables: dict[str, DelayTable],
-    delay_cap: Optional[float] = None,
-) -> dict[str, int]:
-    """Closed-form variable/constraint counts, given the stream_links of
-    each stream, of the delay-weighted model (w_delay != 0), which carries
-    the queue-bin machinery, under `delay_cap` as formulate() takes it.
-    Only the links some stream holds, the targets (the eligible source and
-    the nodes whose stream has an arc) and the devices their rows touch
-    count. `integers` are the bin indexes n, which `binaries` leaves out."""
-    eligible = sorted(eligible_processors(scenario))
-    d_count = len(scenario.demands)
-    streams = stream_links(scenario, linkset, tables, delay_cap)
-    steps = sum(reachable_bins(scenario, linkset, tables, streams).values())
-    specs = powermodel.device_specs(scenario)
-    routes = [(d.source, n, links) for (d, n), links in streams.items() if links]
-    arcs = [l for _s, _n, links in routes for l in links]
-    used = {l.id for l in arcs}
-    local = {d.source for d in scenario.demands} & set(eligible)
-    targets = len(routes) + sum(1 for d in scenario.demands if d.source in local)
-    ends = {dev for l in arcs for dev in (l.tx_device, l.rx_device)} & set(specs)
-    cpus = local | {n for _s, n, _l in routes}
-    devices = ends | {f"{n}.cpu" for n in cpus}
-
-    variables = (
-        len(devices)  # a
-        + 2 * len(used)  # n, Q
-        + 1  # T
-        + 2 * targets  # x, y
-        + 2 * len(arcs)  # r, q
-    )
-    binaries = len(devices) + targets + len(arcs)
-
-    exits = [
-        {l.rx_device for (dd, _n), links in streams.items() if dd.id == d.id
-         for l in links if l.tx_node == d.source}
-        for d in scenario.demands
-    ]
-    constraints = (
-        d_count  # C1
-        + 2 * targets  # C2
-        + len(cpus)  # C3
-        + sum(  # C4 flow + degree
-            len({s, n} | {l.tx_node for l in links} | {l.rx_node for l in links})
-            + len({l.tx_node for l in links})
-            for s, n, links in routes
-        )
-        + len(ends)  # C5c
-        + sum(  # C6, per stream, side and device
-            len({l.tx_device for l in links} & specs.keys())
-            + len({l.rx_device for l in links} & specs.keys())
-            for _s, _n, links in routes
-        )
-        + sum(1 for e in exits if e and e <= specs.keys())  # C6 source exit
-        + len(used) + steps  # C7 load, queue secants
-        + len(arcs)  # C8
-        + len(routes)  # C9
-    )
-    return {
-        "variables": variables,
-        "binaries": binaries,
-        "integers": len(used),
-        "constraints": constraints,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Independent evaluator
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import delaymodel, linkmodel, solver
-from .formulation import evaluate
+# Not called here: perfbench/tracing.py wraps harness.evaluate by name.
+from .formulation import evaluate  # noqa: F401
 from .scenario import (
     POWER_WEIGHTS,
     DemandSpec,
@@ -57,8 +58,6 @@ DEFAULT_SETTINGS = (
     ProcessingSetting.CLOUD_ONLY,
 )
 DEFAULT_PRESETS = (ObjectivePreset.POWER_ONLY, ObjectivePreset.JOINT_EQUAL)
-
-EVAL_TOL = 1e-9
 
 
 class HarnessError(ValueError):
@@ -117,6 +116,11 @@ def percent_change(baseline: float, variant: float) -> float:
     return 100.0 * (variant - baseline) / baseline
 
 
+def _percent_reduction(baseline: float, variant: float) -> float:
+    """-percent_change, but +0.0 (not -0.0) for an unchanged value."""
+    return 0.0 - percent_change(baseline, variant)
+
+
 def _with_demand(scenario: Scenario, demand_kbps: float, setting: ProcessingSetting) -> Scenario:
     """Scenario variant: single swept demand size and processing setting."""
     if len(scenario.demands) != 1:
@@ -160,18 +164,6 @@ def _solve_cell(
         )
         if collect is not None:
             collect(demand_kbps, setting, preset, variant, result)
-        if result.status == "optimal":
-            check = evaluate(variant, linkset, tables, result.allocation, result.weights)
-            for got, want in (
-                (check.total_power, result.total_power),
-                (check.max_delay, result.max_delay),
-                (check.objective_value, result.objective_value),
-            ):
-                if abs(got - want) > EVAL_TOL * max(1.0, abs(want)):
-                    raise HarnessError(
-                        f"evaluator mismatch at demand={demand_kbps} setting={setting.value} "
-                        f"objective={preset.value}: {got} != {want}"
-                    )
         rows.append(
             SweepRow(
                 demand_kbps=demand_kbps,
@@ -343,16 +335,16 @@ def report(table: ResultTable) -> dict:
                     p.total_power_w, j.total_power_w
                 )
                 if p.max_delay_s > 0:
-                    families["delay_reduction_joint_vs_power_pct"][s.value][d] = -percent_change(
+                    families["delay_reduction_joint_vs_power_pct"][s.value][d] = _percent_reduction(
                         p.max_delay_s, j.max_delay_s
                     )
             if p and cloud_p:
-                families["power_saving_vs_cloud_pct"][s.value][d] = -percent_change(
+                families["power_saving_vs_cloud_pct"][s.value][d] = _percent_reduction(
                     cloud_p.total_power_w, p.total_power_w
                 )
         edge_j = opt(d, ProcessingSetting.VEHICLES_AND_EDGE, ObjectivePreset.JOINT_EQUAL)
         if edge_j and cloud_j and cloud_j.max_delay_s > 0:
-            families["delay_reduction_edge_vs_cloud_pct"][d] = -percent_change(
+            families["delay_reduction_edge_vs_cloud_pct"][d] = _percent_reduction(
                 cloud_j.max_delay_s, edge_j.max_delay_s
             )
     return {"metadata": dict(table.metadata), "families": families}

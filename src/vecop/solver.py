@@ -6,10 +6,11 @@ serving set and routes back into an Allocation, completes the processing
 split canonically with greedy_split, and re-derives every reported number
 through formulation.evaluate — so solver and evaluator agree to the last bit.
 
-brute_force() is the deliberately plain oracle twin: exhaustive enumeration
-of serving sets and simple-path products with no pruning, every candidate
-checked and scored by formulation.evaluate, lexicographic tie-breaking by
-(serving node ids, route link ids).
+brute_force() is the deliberately plain oracle twin. oracle_candidates()
+enumerates serving sets and simple-path products with no pruning, every
+candidate checked and scored by formulation.evaluate once per instance;
+OracleCandidates.best() picks the optimum at any weights, with lexicographic
+tie-breaking by (serving node ids, route link ids).
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ __all__ = [
     "joint_weights",
     "solve_joint",
     "greedy_split",
+    "OracleCandidates",
+    "oracle_candidates",
     "brute_force",
 ]
 
@@ -540,16 +543,69 @@ def _all_simple_paths(linkset: LinkSet, source: str, target: str) -> list[tuple[
     return paths
 
 
-def brute_force(
+@dataclass(frozen=True)
+class OracleCandidates:
+    """Every feasible allocation of one instance that brute_force compares,
+    in enumeration order, with its total power P and max delay T.
+
+    Neither a candidate's feasibility nor its P and T depend on the weights,
+    so one enumeration serves every weight: best() picks for one weight.
+    """
+
+    scenario: Scenario
+    linkset: LinkSet
+    tables: dict[str, DelayTable]
+    candidates: tuple[tuple[Allocation, float, float], ...]
+    nodes_explored: int  # route products tried
+    capacity_ok: bool  # some serving set covers the load
+    wall_time: float  # of the enumeration
+
+    def best(self, weights: ObjectiveWeights) -> SolveResult:
+        """The least w_power P + w_delay T, ties within 1e-9 of the best so
+        far broken by Allocation.sort_key, scanned in enumeration order (the
+        tolerance is not transitive, so the order matters); the winner is
+        scored by evaluate at `weights`."""
+        start = time.perf_counter()
+        winner: Optional[Allocation] = None
+        winner_obj = 0.0
+        for alloc, power, delay in self.candidates:
+            # evaluate()'s objective, term for term.
+            obj = weights.w_power * power + weights.w_delay * delay
+            if winner is None:
+                winner, winner_obj = alloc, obj
+                continue
+            tol = 1e-9 * max(1.0, abs(winner_obj))
+            if obj < winner_obj - tol or (
+                abs(obj - winner_obj) <= tol and alloc.sort_key() < winner.sort_key()
+            ):
+                winner, winner_obj = alloc, obj
+        if winner is None:
+            result = SolveResult(
+                status="infeasible",
+                weights=weights,
+                infeasible_reason=(
+                    "C4/C5: no feasible routing to any sufficient serving set"
+                    if self.capacity_ok
+                    else "C3: demand load exceeds eligible processing capacity"
+                ),
+            )
+        else:
+            result = evaluate(self.scenario, self.linkset, self.tables, winner, weights)
+        wall = self.wall_time + time.perf_counter() - start
+        return replace(
+            result, stats=SolverStats(nodes_explored=self.nodes_explored, wall_time=wall)
+        )
+
+
+def oracle_candidates(
     scenario: Scenario,
     linkset: LinkSet,
     tables: dict[str, DelayTable],
-    weights: ObjectiveWeights,
-) -> SolveResult:
-    """Exhaustive reference search: every serving set, every route product.
+) -> OracleCandidates:
+    """Exhaustive enumeration: every serving set, every route product.
 
     Single demand, at most BRUTE_FORCE_MAX_NODES nodes. No pruning beyond
-    hard feasibility; deterministic lexicographic tie-breaking.
+    hard feasibility; each candidate is checked and scored by evaluate once.
     """
     start = time.perf_counter()
     if len(scenario.nodes) > BRUTE_FORCE_MAX_NODES:
@@ -563,7 +619,7 @@ def brute_force(
         n: _all_simple_paths(linkset, demand.source, n) for n in eligible if n != demand.source
     }
 
-    best: Optional[SolveResult] = None
+    candidates = []
     explored = 0
     capacity_ok = False
     for k in range(1, len(eligible) + 1):
@@ -596,29 +652,26 @@ def brute_force(
                     }
                 )
                 try:
-                    result = evaluate(scenario, linkset, tables, alloc, weights)
+                    # The checks do not depend on the weights.
+                    result = evaluate(scenario, linkset, tables, alloc, POWER_WEIGHTS)
                 except AllocationError:
                     continue
-                if best is None:
-                    best = result
-                    continue
-                obj, best_obj = result.objective_value, best.objective_value
-                tol = 1e-9 * max(1.0, abs(best_obj))
-                if obj < best_obj - tol or (
-                    abs(obj - best_obj) <= tol
-                    and alloc.sort_key() < best.allocation.sort_key()
-                ):
-                    best = result
+                candidates.append((alloc, result.total_power, result.max_delay))
 
-    wall = time.perf_counter() - start
-    stats = SolverStats(nodes_explored=explored, wall_time=wall)
-    if best is None:
-        reason = (
-            "C3: demand load exceeds eligible processing capacity"
-            if not capacity_ok
-            else "C4/C5: no feasible routing to any sufficient serving set"
-        )
-        return SolveResult(
-            status="infeasible", weights=weights, stats=stats, infeasible_reason=reason
-        )
-    return replace(best, stats=stats)
+    return OracleCandidates(
+        scenario, linkset, tables, tuple(candidates), explored, capacity_ok,
+        time.perf_counter() - start,
+    )
+
+
+def brute_force(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    weights: ObjectiveWeights,
+) -> SolveResult:
+    """Exhaustive reference search: oracle_candidates(...).best(weights).
+
+    Deterministic lexicographic tie-breaking.
+    """
+    return oracle_candidates(scenario, linkset, tables).best(weights)

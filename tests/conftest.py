@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vecop import delaymodel, linkmodel
+from vecop import delaymodel, linkmodel, solver
 from vecop.scenario import (
     CLOUD_PROCESSOR,
     EDGE_AP_WIFI,
@@ -122,3 +122,16 @@ def random_oracle_instance(seed: int) -> Scenario:
     )
     traffic = min(traffic, cap * 0.9)
     return small_scenario(nodes, traffic=traffic, setting=setting, bins=8)
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus():
+    """solver.oracle_candidates of random_oracle_instance(seed) for seeds
+    0-99, indexed by seed: the one enumeration that every oracle comparison
+    on these seeds picks from."""
+    corpus = []
+    for seed in range(100):
+        s = random_oracle_instance(seed)
+        ls = linkmodel.build_links(s)
+        corpus.append(solver.oracle_candidates(s, ls, delaymodel.build_tables(s, ls)))
+    return corpus

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from vecop.scenario import (
     parse_scenario,
 )
 
-from conftest import make_cloud, make_edge, make_vehicle, random_oracle_instance, small_scenario
+from conftest import make_cloud, make_edge, make_vehicle, small_scenario
 
 GOLDEN = str(importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json")
 
@@ -524,3 +525,7 @@ def test_report_text_and_json(tmp_path, capsys):
     assert lines[at + 1] == f"  VEHICLES_AND_EDGE @ 1000 kbps: {harness._fmt(saving)}%"
     at = lines.index("delay reduction, vehicles+edge vs cloud (joint):")
     assert lines[at + 1] == f"  @ 1000 kbps: {harness._fmt(edge_vs_cloud)}%"
+    # The joint optimum keeps the power-only delay: a reduction of +0, not -0.
+    unchanged = fam["delay_reduction_joint_vs_power_pct"]["VEHICLES_AND_EDGE"]["1000.0"]
+    assert unchanged == 0.0 and math.copysign(1.0, unchanged) == 1.0
+    assert not [line for line in lines if "-0%" in line]

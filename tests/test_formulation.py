@@ -22,7 +22,6 @@ from vecop.formulation import (
     evaluate,
     formulate,
     model_census,
-    model_census_formula,
     reachable_bins,
     route_links,
     stream_links,
@@ -36,12 +35,11 @@ from vecop.scenario import (
     eligible_processors,
     validate,
 )
-from vecop.solver import _all_simple_paths, _to_arrays, brute_force
+from vecop.solver import _all_simple_paths, _to_arrays
 
 from conftest import (
     make_edge,
     make_vehicle,
-    random_oracle_instance,
     small_scenario,
     two_demand_scenario,
 )
@@ -62,6 +60,69 @@ def _ctx(nodes, **kw):
     ls = linkmodel.build_links(s)
     tb = delaymodel.build_tables(s, ls)
     return s, ls, tb
+
+
+def model_census_formula(scenario, linkset, tables, delay_cap=None):
+    """Closed-form variable/constraint counts, given the stream_links of
+    each stream, of the delay-weighted model (w_delay != 0), which carries
+    the queue-bin machinery, under `delay_cap` as formulate() takes it.
+    Only the links some stream holds, the targets (the eligible source and
+    the nodes whose stream has an arc) and the devices their rows touch
+    count. `integers` are the bin indexes n, which `binaries` leaves out."""
+    eligible = sorted(eligible_processors(scenario))
+    d_count = len(scenario.demands)
+    streams = stream_links(scenario, linkset, tables, delay_cap)
+    steps = sum(reachable_bins(scenario, linkset, tables, streams).values())
+    specs = powermodel.device_specs(scenario)
+    routes = [(d.source, n, links) for (d, n), links in streams.items() if links]
+    arcs = [l for _s, _n, links in routes for l in links]
+    used = {l.id for l in arcs}
+    local = {d.source for d in scenario.demands} & set(eligible)
+    targets = len(routes) + sum(1 for d in scenario.demands if d.source in local)
+    ends = {dev for l in arcs for dev in (l.tx_device, l.rx_device)} & set(specs)
+    cpus = local | {n for _s, n, _l in routes}
+    devices = ends | {f"{n}.cpu" for n in cpus}
+
+    variables = (
+        len(devices)  # a
+        + 2 * len(used)  # n, Q
+        + 1  # T
+        + 2 * targets  # x, y
+        + 2 * len(arcs)  # r, q
+    )
+    binaries = len(devices) + targets + len(arcs)
+
+    exits = [
+        {l.rx_device for (dd, _n), links in streams.items() if dd.id == d.id
+         for l in links if l.tx_node == d.source}
+        for d in scenario.demands
+    ]
+    constraints = (
+        d_count  # C1
+        + 2 * targets  # C2
+        + len(cpus)  # C3
+        + sum(  # C4 flow + degree
+            len({s, n} | {l.tx_node for l in links} | {l.rx_node for l in links})
+            + len({l.tx_node for l in links})
+            for s, n, links in routes
+        )
+        + len(ends)  # C5c
+        + sum(  # C6, per stream, side and device
+            len({l.tx_device for l in links} & specs.keys())
+            + len({l.rx_device for l in links} & specs.keys())
+            for _s, _n, links in routes
+        )
+        + sum(1 for e in exits if e and e <= specs.keys())  # C6 source exit
+        + len(used) + steps  # C7 load, queue secants
+        + len(arcs)  # C8
+        + len(routes)  # C9
+    )
+    return {
+        "variables": variables,
+        "binaries": binaries,
+        "integers": len(used),
+        "constraints": constraints,
+    }
 
 
 def test_census_matches_closed_form(
@@ -300,10 +361,9 @@ def test_queue_rows_charge_each_bins_delay(default_scenario, default_linkset, de
             assert q_var.upper == delays[int(n_var.upper) - 1] / DELAY_UNIT
 
 
-def test_route_links_cover_every_simple_path():
-    for seed in range(100):
-        s = random_oracle_instance(seed)
-        ls = linkmodel.build_links(s)
+def test_route_links_cover_every_simple_path(oracle_corpus):
+    for seed, oracle in enumerate(oracle_corpus):
+        s, ls = oracle.scenario, oracle.linkset
         (d,) = s.demands
         for n in sorted(eligible_processors(s) - {d.source}):
             links = route_links(ls, d.source, n)
@@ -538,16 +598,14 @@ def _point_of(model, scenario, linkset, allocation):
     return value
 
 
-def test_power_model_accepts_the_oracle_optimum():
+def test_power_model_accepts_the_oracle_optimum(oracle_corpus):
     # Every row of the power-only model, C6_exit included, holds at the
     # oracle's optimum, and the objective prices it at the oracle's power:
     # so no row cuts off that optimum, whatever HiGHS returns.
     checked = local = 0
-    for seed in range(100):
-        s = random_oracle_instance(seed)
-        ls = linkmodel.build_links(s)
-        tb = delaymodel.build_tables(s, ls)
-        best = brute_force(s, ls, tb, POWER)
+    for seed, oracle in enumerate(oracle_corpus):
+        s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
+        best = oracle.best(POWER)
         if best.status != "optimal":
             continue
         model = formulate(s, ls, tb, POWER)

@@ -120,12 +120,34 @@ def test_reader_rejects_maximize(header):
     assert e.value.line_no == 2
 
 
-def test_structurally_equal_detects_differences():
+def _swap(items, i, item):
+    return items[:i] + (item,) + items[i + 1:]
+
+
+_V, _C = tiny_model().variables, tiny_model().constraints
+
+# One difference per check of structurally_equal: (variables, constraints,
+# objective) of the changed model, and whether tol=1e-3 forgives it.
+DIFFERENCES = {
+    "variable-count": (_V + (Variable("x3", CONTINUOUS, 0.0, None),), _C, None, False),
+    "kind": (_swap(_V, 0, Variable("x1", INTEGER, 0.0, 1.0)), _C, None, False),
+    "lower": (_swap(_V, 3, Variable("n1", INTEGER, 1.0 + 1e-6, 4.0)), _C, None, True),
+    "upper-none": (_swap(_V, 1, Variable("x2", CONTINUOUS, 0.0, 1e6)), _C, None, False),
+    "upper": (_swap(_V, 0, Variable("x1", CONTINUOUS, 0.0, 1.0 + 1e-6)), _C, None, True),
+    "constraint-count": (_V, _C[:2] + _C[3:], None, False),
+    "rhs": (_V, _swap(_C, 0, Constraint("c1", {"x1": 1.0, "x2": 2.0}, "<=", 3.0 + 1e-6)),
+            None, True),
+    "coefficients": (_V, _swap(_C, 0, Constraint("c1", {"x1": 1.0, "x2": 2.0 + 1e-6}, "<=", 3.0)),
+                     None, True),
+    "objective": (_V, _C, {"x1": 1.5, "b1": 7.0 + 1e-6}, True),
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENCES, ids=list(DIFFERENCES))
+def test_structurally_equal_detects_differences(case):
     m = tiny_model()
-    other = MilpModel(
-        m.variables,
-        m.constraints,
-        {"x1": 1.5, "b1": 7.0 + 1e-6},
-    )
+    variables, constraints, objective, forgiven = DIFFERENCES[case]
+    other = MilpModel(variables, constraints, objective or m.objective)
     assert not structurally_equal(m, other)
-    assert structurally_equal(m, other, tol=1e-3)
+    assert not structurally_equal(other, m)
+    assert structurally_equal(m, other, tol=1e-3) == forgiven

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vecop import delaymodel, harness, linkmodel, solver
 from vecop.formulation import (
@@ -19,10 +20,13 @@ from vecop.formulation import (
 )
 from vecop.scenario import (
     POWER_WEIGHTS,
+    DemandSpec,
     NodeKind,
     ObjectiveWeights,
     ProcessingSetting,
     ProcessorSpec,
+    Scenario,
+    Settings,
     generate_default,
     validate,
 )
@@ -40,7 +44,6 @@ from vecop.solver import (
 from conftest import (
     make_edge,
     make_vehicle,
-    random_oracle_instance,
     small_scenario,
     two_demand_scenario,
 )
@@ -331,17 +334,16 @@ def test_capped_pre_solves_report_a_zero_gap(default_scenario, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def capped_corpus():
-    """Every oracle seed with T* > 0: the instance, its power-only result and
-    its JOINT_EQUAL weights and delay cap."""
+def capped_corpus(oracle_corpus):
+    """Every oracle seed with T* > 0: the instance, its power-only result,
+    its JOINT_EQUAL weights and delay cap, and its oracle candidates."""
     corpus = []
-    for seed in range(100):
-        s = random_oracle_instance(seed)
-        ls, tb = _ctx(s)
+    for seed, oracle in enumerate(oracle_corpus):
+        s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
         power = solve(s, ls, tb, POWER)
         w, cap = joint_weights(s, ls, tb, power)
         if w is not None and w.w_delay != 0.0:
-            corpus.append((seed, s, ls, tb, power, w, cap))
+            corpus.append((seed, s, ls, tb, power, w, cap, oracle))
     assert corpus
     return corpus
 
@@ -349,9 +351,9 @@ def capped_corpus():
 def test_joint_weights_capped_path_matches_oracle(capped_corpus):
     # Every oracle seed with T* > 0: the nearest allocation is feasible and
     # no faster than T*, the capped delay pre-solve finds T* and the capped
-    # joint solve the joint optimum that brute_force finds.
-    for seed, s, ls, tb, _power, w, cap in capped_corpus:
-        t_star = brute_force(s, ls, tb, DELAY).max_delay
+    # joint solve the joint optimum that the oracle finds.
+    for seed, s, ls, tb, _power, w, cap, oracle in capped_corpus:
+        t_star = oracle.best(DELAY).max_delay
         nearest = solver._nearest_allocation(s, ls, tb)
         assert nearest is not None, f"seed {seed}"
         assert evaluate(s, ls, tb, nearest.allocation, DELAY).max_delay == nearest.max_delay
@@ -361,7 +363,7 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
         assert joint.status == "optimal"
         assert joint.max_delay <= cap
         assert joint.objective_value == pytest.approx(
-            brute_force(s, ls, tb, w).objective_value, rel=1e-9
+            oracle.best(w).objective_value, rel=1e-9
         ), f"seed {seed}"
 
 
@@ -371,7 +373,7 @@ def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
     # whose floor delay (queues at the stream's own rate) fits a cap stays
     # in that stream's arc set.
     fitting = dropped = 0
-    for seed, s, ls, tb, power, _w, joint_cap in capped_corpus:
+    for seed, s, ls, tb, power, _w, joint_cap, _oracle in capped_corpus:
         (d,) = s.demands
         pps = delaymodel.packets_per_second(d.traffic * 1000.0, s.settings.packet_size)
         for cap in (power.max_delay * (1.0 + solver.CAP_MARGIN), joint_cap):
@@ -507,6 +509,29 @@ def test_brute_force_infeasible_reason():
     assert r.infeasible_reason.startswith("C3")
 
 
+def test_routing_infeasible_reason():
+    # 1700 MIPS is more than v1 and v2 hold (1600) but within all three
+    # (2400), and v3 is out of DSRC range: no link reaches it. The capacity
+    # pre-check passes, so HiGHS proves the model infeasible.
+    s = validate(
+        Scenario(
+            lot_width=1000.0,
+            lot_height=1000.0,
+            nodes=(make_vehicle("v1", 0, 0), make_vehicle("v2", 20, 0),
+                   make_vehicle("v3", 900, 900)),
+            demands=(DemandSpec(id="d1", source="v1", traffic=1700.0),),
+            settings=Settings(processing_setting=ProcessingSetting.VEHICLES_ONLY),
+        )
+    )
+    ls, tb = _ctx(s)
+    b = brute_force(s, ls, tb, POWER)
+    assert b.status == "infeasible"
+    assert b.infeasible_reason.startswith("C4/C5: no feasible routing")
+    a = solve(s, ls, tb, POWER)
+    assert a.status == "infeasible"
+    assert a.infeasible_reason.startswith("C4/C5/C7: ")
+
+
 def test_power_only_is_exact_across_the_access_point_tie():
     # Cloud-only at 1000 kbps: the stream reaches the cloud over either AP,
     # and the two allocations' powers are about 1e-11 of the power apart,
@@ -536,16 +561,35 @@ def test_power_only_is_exact_across_the_access_point_tie():
 
 
 @pytest.mark.parametrize("seed", [3, 17, 42])
-def test_solver_oracle_spot_checks(seed):
-    s = random_oracle_instance(seed)
-    ls, tb = _ctx(s)
+def test_solver_oracle_spot_checks(seed, oracle_corpus):
+    oracle = oracle_corpus[seed]
     for w in (POWER, JOINT):
-        a = solve(s, ls, tb, w)
-        b = brute_force(s, ls, tb, w)
+        a = solve(oracle.scenario, oracle.linkset, oracle.tables, w)
+        b = oracle.best(w)
         assert a.status == b.status
         if a.status == "optimal":
             assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
 
+
+# w_power = 0, w_delay = 0, and w_delay / w_power from 1e-4 to 1e6 (at
+# JOINT_EQUAL's scale, tens of watts and hundreds of microseconds, the
+# delay term goes from negligible to dominant).
+CUSTOM_WEIGHTS = st.one_of(
+    st.floats(1e-3, 1e3).map(lambda w: ObjectiveWeights(0.0, w)),
+    st.floats(1e-3, 1e3).map(lambda w: ObjectiveWeights(w, 0.0)),
+    st.floats(-4.0, 6.0).map(lambda r: ObjectiveWeights(1.0, 10.0**r)),
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 99), weights=CUSTOM_WEIGHTS)
+def test_solve_matches_the_oracle_at_any_weights(oracle_corpus, seed, weights):
+    oracle = oracle_corpus[seed]
+    a = solve(oracle.scenario, oracle.linkset, oracle.tables, weights)
+    b = oracle.best(weights)
+    assert a.status == b.status
+    if a.status == "optimal":
+        assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
 
 
 def _capacity_bound_instance(seed):
@@ -589,13 +633,12 @@ def test_solve_matches_oracle_where_capacities_bind(seed, monkeypatch):
             assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
 
 @pytest.mark.parametrize("seed", [6, 11, 23, 81])
-def test_delay_only_matches_oracle(seed):
+def test_delay_only_matches_oracle(seed, oracle_corpus):
     # A delay-only objective is a few hundred microseconds in seconds, below
     # HiGHS's pruning tolerance unless solve() rescales it; on these seeds an
     # unscaled solve stops at a route up to 0.04 us slower than the optimum.
-    s = random_oracle_instance(seed)
-    ls, tb = _ctx(s)
-    a = solve(s, ls, tb, DELAY)
-    b = brute_force(s, ls, tb, DELAY)
+    oracle = oracle_corpus[seed]
+    a = solve(oracle.scenario, oracle.linkset, oracle.tables, DELAY)
+    b = oracle.best(DELAY)
     assert a.status == b.status == "optimal"
     assert a.max_delay == pytest.approx(b.max_delay, rel=1e-9)
