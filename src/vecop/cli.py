@@ -147,7 +147,10 @@ def _cmd_export(args) -> int:
         if weights is None:
             print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
             return EXIT_INFEASIBLE
-    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
+    model = formulate(
+        scenario, linkset, tables, weights, delay_cap=delay_cap,
+        power_cap=solver.power_cap(scenario, linkset, tables, weights),
+    )
     if args.stats:
         census = model_census(model)
         print(json.dumps(census, indent=2, sort_keys=True))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -255,27 +256,144 @@ def _floor_distances(
     return dist, via
 
 
+def _arc_power(link: Link, t_bps: float, specs: dict, core_energy_per_bit: float) -> float:
+    """Power a stream of `t_bps` bit/s adds by crossing `link`, the power
+    coefficient of its r: both endpoint devices' load-proportional power,
+    the transmitter's share of the link's radiated power and, on fiber, the
+    core per-bit energy."""
+    power = 0.0
+    for dev in (link.tx_device, link.rx_device):
+        spec = specs.get(dev)
+        if spec is not None:
+            power += (spec.power_max - spec.power_idle) * t_bps / spec.capacity
+    tx_spec = specs.get(link.tx_device)
+    if tx_spec is not None:
+        power += link.radiated_power * t_bps / tx_spec.capacity
+    if link.medium == Medium.FIBER:
+        power += core_energy_per_bit * t_bps
+    return power
+
+
+def _power_floors(
+    scenario: Scenario, linkset: LinkSet, demand: DemandSpec, links: list[Link]
+) -> dict[str, float]:
+    """Least power each of `links` adds to a simple path of a stream of
+    `demand` (w_l): the link's _arc_power, the idle power of its receiving
+    device, and that of its transmitting device when the link leaves the
+    source or the device receives on no link (an AP's `.onu`). A simple
+    path enters every node but the source once and leaves every node once,
+    so along it these idle powers belong to distinct devices."""
+    specs = powermodel.device_specs(scenario)
+    core = scenario.settings.core_energy_per_bit
+    t_bps = demand.traffic * 1000.0
+    receivers = {link.rx_device for link in linkset.links}
+    floors = {}
+    for link in links:
+        idle = [link.rx_device]
+        if link.tx_node == demand.source or link.tx_device not in receivers:
+            idle.append(link.tx_device)
+        floors[link.id] = _arc_power(link, t_bps, specs, core) + sum(
+            specs[dev].power_idle for dev in idle if dev in specs
+        )
+    return floors
+
+
+def _covering_sets(
+    scenario: Scenario, demand: DemandSpec
+) -> tuple[list[list[str]], list[tuple[tuple[int, ...], float]]]:
+    """Serving sets that cover `demand`'s load, up to identical processors.
+
+    Returns the groups of eligible nodes with identical processors (node ids
+    sorted, groups in ascending marginal cost per MIPS), and every count
+    vector over the groups whose capacity covers the load, with the least
+    processing power of such a set: each member's idle power plus the fill
+    of ascending marginal cost (greedy_split's split, which is optimal for
+    a fixed set).
+    """
+    groups: dict[tuple[float, float, float], list[str]] = {}
+    for n in sorted(eligible_processors(scenario)):
+        p = scenario.node(n).processor
+        groups.setdefault((p.capacity, p.power_idle, p.power_max), []).append(n)
+    kinds = sorted(groups, key=lambda k: ((k[2] - k[1]) / k[0], k))
+    load = demand.load or 0.0
+    sets = []
+    for counts in itertools.product(*(range(len(groups[k]) + 1) for k in kinds)):
+        capacity = sum(c * k[0] for c, k in zip(counts, kinds))
+        # greedy_split's margin.
+        if not any(counts) or load > capacity * (1.0 + FRACTION_TOL):
+            continue
+        power, remaining = 0.0, load
+        for c, (cap, idle, peak) in zip(counts, kinds):
+            take = min(remaining, c * cap)
+            power += c * idle + (peak - idle) * take / cap
+            remaining -= take
+        sets.append((counts, power))
+    return [groups[k] for k in kinds], sets
+
+
+def _under_cap(
+    links: list[Link], weight: dict[str, float], source: str, target: str, cap: float,
+    base: float = 0.0,
+) -> list[Link]:
+    """The links l for which base + fwd(l.tx) + w_l + bwd(l.rx) is at most
+    the cap (up to float dust): fwd and bwd are the least total weights from
+    the source and into the target over `links`, so every simple
+    source-target path through a dropped link weighs more than the cap."""
+    fwd, _ = _floor_distances(links, weight, source, into=False)
+    bwd, _ = _floor_distances(links, weight, target, into=True)
+    limit = cap * (1.0 + 1e-9)
+    return [
+        link
+        for link in links
+        if base + fwd.get(link.tx_node, math.inf) + weight[link.id]
+        + bwd.get(link.rx_node, math.inf)
+        <= limit
+    ]
+
+
 def stream_links(
     scenario: Scenario,
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     delay_cap: Optional[float] = None,
+    power_cap: Optional[float] = None,
 ) -> dict[tuple[DemandSpec, str], list[Link]]:
     """Links each (demand, remote target) stream may use, in link set order.
 
     Starts from the stream's route_links and drops every link whose
     rho_max * mu is below the stream's own packet rate (C7_load forbids it).
+
     Under a `delay_cap` (seconds) it also drops every link l for which
     fwd(l.tx) + w_l + bwd(l.rx) exceeds the cap: w_l is the link's
     _floor_delay at the stream's rate, and fwd/bwd are the least floor
     delays from the source and into the target.
     No path through such a link fits under the cap, and C9 holds every
     served path's delay under T, which the cap bounds.
+
+    Under a `power_cap` (watts) it also drops every link l for which
+    base(n) + fwd(l.tx) + w_l + bwd(l.rx) exceeds the cap: w_l is the
+    link's _power_floors, fwd/bwd the least sums of them from the source
+    and into the target n, and base(n) the least processing power of a
+    serving set that covers the load and holds n (_covering_sets). Every
+    cycle-free allocation that routes the stream through l draws at least
+    that much, whatever the C5 and C7 budgets. So the cap drops no optimum
+    when the objective is power-only (w_delay = 0 < w_power, where every r
+    costs power and no optimum has a cycle) and some allocation draws at
+    most the cap.
     """
     eligible = sorted(eligible_processors(scenario))
     streams: dict[tuple[DemandSpec, str], list[Link]] = {}
     for d in scenario.demands:
         pps = _pps(d, scenario)
+        if power_cap is not None:
+            carried = [link for link in linkset.links if _carries(link, tables, pps)]
+            power = _power_floors(scenario, linkset, d, carried)
+            groups, sets = _covering_sets(scenario, d)
+            base = {
+                n: min((p for counts, p in sets if counts[g]), default=math.inf)
+                for g, members in enumerate(groups)
+                for n in members
+            }
         for n in eligible:
             if n == d.source:
                 continue
@@ -284,15 +402,9 @@ def stream_links(
             ]
             if delay_cap is not None:
                 weight = {link.id: _floor_delay(link, tables, pps) for link in links}
-                fwd, _ = _floor_distances(links, weight, d.source, into=False)
-                bwd, _ = _floor_distances(links, weight, n, into=True)
-                links = [
-                    link
-                    for link in links
-                    if fwd.get(link.tx_node, math.inf) + weight[link.id]
-                    + bwd.get(link.rx_node, math.inf)
-                    <= delay_cap * (1.0 + 1e-9)
-                ]
+                links = _under_cap(links, weight, d.source, n, delay_cap)
+            if power_cap is not None:
+                links = _under_cap(links, power, d.source, n, power_cap, base[n])
             streams[d, n] = links
     return streams
 
@@ -303,6 +415,7 @@ def formulate(
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
     delay_cap: Optional[float] = None,
+    power_cap: Optional[float] = None,
 ) -> MilpModel:
     """Assemble variables, constraints and the weighted objective.
 
@@ -349,6 +462,13 @@ def formulate(
     bound on the optimum's max delay: it bounds T and drops every stream's
     links that no path under it can use (stream_links). Through the arc
     sets it may remove links, targets and devices, and lower the kept bins.
+
+    `power_cap` (watts), when given, is a known upper bound on the
+    optimum's total power: it drops every stream's links that no allocation
+    under it can use (stream_links), which is exact at w_delay = 0 <
+    w_power; solver.power_cap gives one for single-demand power-only
+    models. Like a delay cap it may remove links, targets and devices; it
+    bounds no variable.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
@@ -376,13 +496,13 @@ def formulate(
         if coef != 0.0:
             objective[name] = objective.get(name, 0.0) + coef
 
-    # Arc set of every (demand, remote target) stream; a cap binds only a
-    # model that has T. Only the links some stream holds, the targets a
-    # stream reaches and the devices their rows touch enter the model.
+    # Arc set of every (demand, remote target) stream; a delay cap binds
+    # only a model that has T. Only the links some stream holds, the targets
+    # a stream reaches and the devices their rows touch enter the model.
     cap = delay_cap if with_delay else None
     routes = {
         stream: links
-        for stream, links in stream_links(scenario, linkset, tables, cap).items()
+        for stream, links in stream_links(scenario, linkset, tables, cap, power_cap).items()
         if links
     }
     held = {link.id for links in routes.values() for link in links}
@@ -566,18 +686,7 @@ def formulate(
             obj_add(x[d.id, n], wp * span * (d.load or 0.0) / spec.capacity)
     core = scenario.settings.core_energy_per_bit
     for (d_id, _n, l_id), rv in r.items():
-        link, t_bps = linkset.link(l_id), traffic[d_id]
-        coef = 0.0
-        for dev in (link.tx_device, link.rx_device):
-            spec = specs.get(dev)
-            if spec is not None:
-                coef += (spec.power_max - spec.power_idle) * t_bps / spec.capacity
-        tx_spec = specs.get(link.tx_device)
-        if tx_spec is not None:
-            coef += link.radiated_power * t_bps / tx_spec.capacity
-        if link.medium == Medium.FIBER:
-            coef += core * t_bps
-        obj_add(rv, wp * coef)
+        obj_add(rv, wp * _arc_power(linkset.link(l_id), traffic[d_id], specs, core))
     if with_delay:
         obj_add(t_var, wd * DELAY_UNIT)
 

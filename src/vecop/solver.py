@@ -39,13 +39,15 @@ from .formulation import (
     SolveResult,
     SolverStats,
     _carries,
+    _covering_sets,
     _floor_delay,
     _floor_distances,
+    _power_floors,
     _pps,
     evaluate,
     formulate,
 )
-from .linkmodel import LinkSet
+from .linkmodel import Link, LinkSet
 from .scenario import (
     POWER_WEIGHTS,
     DemandSpec,
@@ -61,6 +63,7 @@ __all__ = [
     "InstanceTooLarge",
     "SolverStopped",
     "solve",
+    "power_cap",
     "joint_weights",
     "solve_joint",
     "greedy_split",
@@ -331,6 +334,8 @@ def solve(
     `delay_cap` (seconds) is a max delay that a known feasible allocation
     meets and the optimum cannot exceed (formulate() bounds the model by
     it); a solve that finds no allocation under it raises SolverError.
+    A power-only objective is solved under power_cap(), which a feasible
+    allocation meets too, and raises SolverError in the same way.
     Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
@@ -357,7 +362,8 @@ def solve(
                 ),
             )
 
-    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap)
+    cap = power_cap(scenario, linkset, tables, weights)
+    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap, power_cap=cap)
     names, c, integrality, bounds, constraint = _to_arrays(model)
     # HiGHS prunes nodes within 1e-6 objective units of the incumbent, and
     # its LP tolerances on reduced costs are absolute too. Any objective
@@ -391,6 +397,11 @@ def solve(
                 f"no allocation under the delay cap {delay_cap!r} s, which a feasible "
                 "allocation meets: the cap is wrong"
             )
+        if cap is not None:
+            raise SolverError(
+                f"no allocation under the power cap {cap!r} W, which a feasible "
+                "allocation meets: the cap is wrong"
+            )
         return SolveResult(
             status="infeasible",
             weights=weights,
@@ -401,6 +412,42 @@ def solve(
         raise SolverStopped(f"HiGHS stopped without an optimum: status {res.status}: {res.message}")
     allocation = _decode(scenario, linkset, model, names, res.x)
     return replace(evaluate(scenario, linkset, tables, allocation, weights), stats=stats)
+
+
+def _tree_allocation(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    serving: list[str],
+    via: dict[str, Link],
+    weights: ObjectiveWeights,
+) -> Optional[SolveResult]:
+    """The single demand served by `serving`, each node on its path of the
+    shortest-path tree `via` (_floor_distances from the source), split by
+    greedy_split and scored by evaluate at `weights`; None when the
+    allocation breaks a shared budget."""
+    (demand,) = scenario.demands
+    routes = {}
+    for n in serving:
+        route: list[str] = []
+        at = n
+        while at != demand.source:
+            route.append(via[at].id)
+            at = via[at].tx_node
+        routes[n] = tuple(reversed(route))
+    allocation = Allocation(
+        demands={
+            demand.id: DemandAllocation(
+                serving=tuple(sorted(serving)),
+                fractions=greedy_split(serving, demand, scenario),
+                routes=routes,
+            )
+        }
+    )
+    try:
+        return evaluate(scenario, linkset, tables, allocation, weights)
+    except AllocationError:
+        return None
 
 
 def _nearest_allocation(
@@ -433,27 +480,60 @@ def _nearest_allocation(
             break
     else:
         return None
-    routes = {}
-    for n in serving:
-        route: list[str] = []
-        at = n
-        while at != demand.source:
-            route.append(via[at].id)
-            at = via[at].tx_node
-        routes[n] = tuple(reversed(route))
-    allocation = Allocation(
-        demands={
-            demand.id: DemandAllocation(
-                serving=tuple(sorted(serving)),
-                fractions=greedy_split(serving, demand, scenario),
-                routes=routes,
-            )
-        }
-    )
-    try:
-        return evaluate(scenario, linkset, tables, allocation, ObjectiveWeights(0.0, 1.0))
-    except AllocationError:
+    return _tree_allocation(scenario, linkset, tables, serving, via, ObjectiveWeights(0.0, 1.0))
+
+
+def _reference_allocation(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
+) -> Optional[SolveResult]:
+    """A feasible allocation to cap the power-only solve by, scored at
+    POWER_WEIGHTS, or None.
+
+    Weighs each link that carries the stream by its power floor
+    (formulation._power_floors) and serves the covering set with the least
+    processing power plus the members' least path floors from the source:
+    over the count vectors of identical processors (_covering_sets), the
+    nearest members of each group. Each member takes its floor-shortest
+    path, and greedy_split splits the load. None for several demands, when
+    no reachable set covers the load, or when the allocation breaks a
+    shared budget.
+    """
+    if len(scenario.demands) != 1:
         return None
+    (demand,) = scenario.demands
+    pps = _pps(demand, scenario)
+    links = [link for link in linkset.links if _carries(link, tables, pps)]
+    weight = _power_floors(scenario, linkset, demand, links)
+    dist, via = _floor_distances(links, weight, demand.source, into=False)
+    groups, sets = _covering_sets(scenario, demand)
+    nearest = [sorted((dist[n], n) for n in members if n in dist) for members in groups]
+    best: Optional[tuple[float, tuple[int, ...]]] = None
+    for counts, power in sets:
+        if any(c > len(near) for c, near in zip(counts, nearest)):
+            continue
+        cost = power + sum(f for c, near in zip(counts, nearest) for f, _n in near[:c])
+        if best is None or cost < best[0]:
+            best = (cost, counts)
+    if best is None:
+        return None
+    serving = [n for c, near in zip(best[1], nearest) for _f, n in near[:c]]
+    return _tree_allocation(scenario, linkset, tables, serving, via, POWER_WEIGHTS)
+
+
+def power_cap(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    weights: ObjectiveWeights,
+) -> Optional[float]:
+    """The power cap solve() formulates a model under (formulate's
+    `power_cap`): the total power of _reference_allocation when the
+    objective is power-only (w_delay = 0 < w_power), else None, as it is
+    when there is no reference allocation."""
+    if weights.w_delay != 0.0 or weights.w_power <= 0.0:
+        return None
+    reference = _reference_allocation(scenario, linkset, tables)
+    return None if reference is None else reference.total_power
 
 
 def joint_weights(

@@ -217,6 +217,30 @@ def test_export_joint_writes_the_model_solve_solves(tmp_path, capsys, monkeypatc
     assert lp.read_text() == export_lp(solved)
 
 
+def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch):
+    # The default lot (1000 kbps, vehicles and edge): solve formulates its
+    # power-only model under the reference allocation's power cap, and
+    # export writes that model, with far fewer r than the uncapped one.
+    models = []
+    formulate = solver.formulate
+
+    def seen(*args, **kwargs):
+        models.append(formulate(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(solver, "formulate", seen)
+    argv = ["--scenario", GOLDEN, "--objective", "power"]
+    assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
+    (solved,) = models
+    lp = tmp_path / "power.lp"
+    assert main(["export", *argv, "-o", str(lp)]) == EXIT_OK
+    assert lp.read_text() == export_lp(solved)
+    s = cli._load_scenario(GOLDEN, None)
+    ls = linkmodel.build_links(s)
+    uncapped = formulate(s, ls, delaymodel.build_tables(s, ls), POWER_WEIGHTS)
+    assert len(solved.metadata["r"]) < len(uncapped.metadata["r"])
+
+
 def test_solve_joint_solves_no_model_twice(
     tiny_scenario_path, overload_scenario_path, tmp_path, monkeypatch
 ):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import milp
 
-from vecop import delaymodel, linkmodel, powermodel
+from vecop import delaymodel, linkmodel, powermodel, solver
 from vecop.formulation import (
     DELAY_UNIT,
     INTEGER,
@@ -62,16 +62,17 @@ def _ctx(nodes, **kw):
     return s, ls, tb
 
 
-def model_census_formula(scenario, linkset, tables, delay_cap=None):
+def model_census_formula(scenario, linkset, tables, delay_cap=None, power_cap=None):
     """Closed-form variable/constraint counts, given the stream_links of
     each stream, of the delay-weighted model (w_delay != 0), which carries
-    the queue-bin machinery, under `delay_cap` as formulate() takes it.
+    the queue-bin machinery, under `delay_cap` and `power_cap` as
+    formulate() takes them.
     Only the links some stream holds, the targets (the eligible source and
     the nodes whose stream has an arc) and the devices their rows touch
     count. `integers` are the bin indexes n, which `binaries` leaves out."""
     eligible = sorted(eligible_processors(scenario))
     d_count = len(scenario.demands)
-    streams = stream_links(scenario, linkset, tables, delay_cap)
+    streams = stream_links(scenario, linkset, tables, delay_cap, power_cap)
     steps = sum(reachable_bins(scenario, linkset, tables, streams).values())
     specs = powermodel.device_specs(scenario)
     routes = [(d.source, n, links) for (d, n), links in streams.items() if links]
@@ -468,6 +469,16 @@ def test_census_matches_closed_form_under_a_cap(
         assert model_census(model) == model_census_formula(
             default_scenario, default_linkset, default_tables, cap
         )
+    # The default lot's power cap (18.31 W) on its own and with a delay cap.
+    power = solver.power_cap(default_scenario, default_linkset, default_tables, POWER)
+    for cap in (None, 1e-3):
+        model = formulate(
+            default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap,
+            power_cap=power,
+        )
+        assert model_census(model) == model_census_formula(
+            default_scenario, default_linkset, default_tables, cap, power
+        )
     s = two_demand_scenario()
     ls = linkmodel.build_links(s)
     tb = delaymodel.build_tables(s, ls)
@@ -475,6 +486,35 @@ def test_census_matches_closed_form_under_a_cap(
     assert model_census(formulate(s, ls, tb, JOINT, delay_cap=cap)) == model_census_formula(
         s, ls, tb, cap
     )
+
+
+def test_power_cap_keeps_every_allocation_under_it(oracle_corpus):
+    # Every feasible candidate that draws at most the cap routes each remote
+    # member over arcs its stream keeps, so the capped model holds every
+    # allocation that could beat the reference (the reference itself too).
+    routed = dropped = 0
+    for seed, oracle in enumerate(oracle_corpus):
+        s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
+        cap = solver.power_cap(s, ls, tb, POWER)
+        if cap is None:
+            continue
+        capped = {
+            n: {l.id for l in links}
+            for (_d, n), links in stream_links(s, ls, tb, power_cap=cap).items()
+        }
+        dropped += sum(len(links) for links in stream_links(s, ls, tb).values()) - sum(
+            len(links) for links in capped.values()
+        )
+        for alloc, power, _delay in oracle.candidates:
+            if power > cap:
+                continue
+            (da,) = alloc.demands.values()
+            for n, route in da.routes.items():
+                assert set(route) <= capped.get(n, set()), (
+                    f"seed {seed}, target {n}, route {route}: {power!r} W <= cap {cap!r} W"
+                )
+                routed += bool(route)
+    assert routed > 0 and dropped > 0
 
 
 def _check_declares_only_what_streams_use(s, ls, tb, weights, cap=None):

@@ -401,6 +401,52 @@ def test_solve_raises_when_the_cap_cuts_off_every_allocation():
         solve(s, ls, tb, JOINT, delay_cap=0.0)
 
 
+def test_solve_raises_when_highs_finds_nothing_under_the_power_cap(monkeypatch):
+    # The power cap is the power of an allocation that evaluate accepted,
+    # so an "infeasible" under it is HiGHS's error, not the instance's.
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    assert solver.power_cap(s, ls, tb, POWER) is not None
+    real = solver.milp
+
+    def infeasible(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.success, res.message = 2, False, "Infeasible"
+        return res
+
+    monkeypatch.setattr(solver, "milp", infeasible)
+    with pytest.raises(SolverError, match="power cap"):
+        solve(s, ls, tb, POWER)
+    # Without a cap (a delay weight) the same exit reports infeasible.
+    assert solve(s, ls, tb, DELAY).status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "kbps, setting, arcs",
+    [
+        (1000.0, ProcessingSetting.VEHICLES_ONLY, (511, 1)),
+        (1000.0, ProcessingSetting.VEHICLES_AND_EDGE, (657, 9)),
+        (1000.0, ProcessingSetting.CLOUD_ONLY, (83, 4)),
+        (3000.0, ProcessingSetting.VEHICLES_AND_EDGE, (657, 611)),
+        (6000.0, ProcessingSetting.VEHICLES_ONLY, (511, None)),
+    ],
+)
+def test_power_cap_prunes_the_default_lot(kbps, setting, arcs):
+    # r variables of lot 42's power-only model without and with the cap
+    # solve() formulates under. At 3000 kbps vehicles-and-edge the bound
+    # drops only the detours through the other access point. At 6000 kbps
+    # vehicles-only the reference allocation, all eight vehicles, breaks a
+    # shared budget, so there is no cap.
+    s = harness._with_demand(generate_default(42), kbps, setting)
+    ls, tb = _ctx(s)
+    cap = solver.power_cap(s, ls, tb, POWER)
+    counts = [
+        len(solver.formulate(s, ls, tb, POWER, power_cap=c).metadata["r"])
+        for c in (None, cap)
+    ]
+    assert (counts[0], None if cap is None else counts[1]) == arcs
+
+
 def test_solve_raises_on_a_non_optimal_highs_exit(monkeypatch):
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
     ls, tb = _ctx(s)
@@ -560,17 +606,6 @@ def test_power_only_is_exact_across_the_access_point_tie():
         assert got.total_power <= min(powers), f"lot {lot}: {got.total_power!r} > {powers!r}"
 
 
-@pytest.mark.parametrize("seed", [3, 17, 42])
-def test_solver_oracle_spot_checks(seed, oracle_corpus):
-    oracle = oracle_corpus[seed]
-    for w in (POWER, JOINT):
-        a = solve(oracle.scenario, oracle.linkset, oracle.tables, w)
-        b = oracle.best(w)
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert a.objective_value == pytest.approx(b.objective_value, rel=1e-6)
-
-
 # w_power = 0, w_delay = 0, and w_delay / w_power from 1e-4 to 1e6 (at
 # JOINT_EQUAL's scale, tens of watts and hundreds of microseconds, the
 # delay term goes from negligible to dominant).
@@ -623,10 +658,11 @@ def test_solve_matches_oracle_where_capacities_bind(seed, monkeypatch):
     monkeypatch.setattr(solver, "evaluate", counting_evaluate)
     s = _capacity_bound_instance(seed)
     ls, tb = _ctx(s)
+    oracle = solver.oracle_candidates(s, ls, tb)
+    assert rejected > 0, "no candidate hit a capacity: the instance binds nothing"
+    # The power cap's floors ignore the C5 and C7 budgets that bind here.
     for w in (POWER, JOINT, DELAY):
-        rejected = 0
-        b = brute_force(s, ls, tb, w)
-        assert rejected > 0, "no candidate hit a capacity: the instance binds nothing"
+        b = oracle.best(w)
         a = solve(s, ls, tb, w)
         assert a.status == b.status
         if a.status == "optimal":
