@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import delaymodel, harness, linkmodel, lp_io, solver
-from .formulation import formulate, model_census
+from .formulation import model_census
 from .harness import _fmt
 from .scenario import (
     POWER_WEIGHTS,
@@ -140,16 +140,17 @@ def _cmd_export(args) -> int:
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
     limits = Limits(force=args.force)
-    delay_cap = None
+    delay_cap = delay_floor = None
     if preset == ObjectivePreset.JOINT_EQUAL:
         power = solver.solve(scenario, linkset, tables, weights, limits)
-        weights, delay_cap = solver.joint_weights(scenario, linkset, tables, power, limits)
+        weights, delay_cap, delay_floor = solver.joint_weights(
+            scenario, linkset, tables, power, limits
+        )
         if weights is None:
             print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
             return EXIT_INFEASIBLE
-    model = formulate(
-        scenario, linkset, tables, weights, delay_cap=delay_cap,
-        power_cap=solver.power_cap(scenario, linkset, tables, weights),
+    model, _power_cap = solver.capped_model(
+        scenario, linkset, tables, weights, delay_cap, delay_floor
     )
     if args.stats:
         census = model_census(model)

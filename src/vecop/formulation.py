@@ -416,6 +416,7 @@ def formulate(
     weights: ObjectiveWeights,
     delay_cap: Optional[float] = None,
     power_cap: Optional[float] = None,
+    delay_floor: Optional[float] = None,
 ) -> MilpModel:
     """Assemble variables, constraints and the weighted objective.
 
@@ -474,6 +475,10 @@ def formulate(
     eligible = sorted(eligible_processors(scenario))
     if not eligible:
         raise FormulationError("no eligible processors")
+    if delay_floor is not None and delay_cap is not None and delay_floor > delay_cap:
+        raise FormulationError(
+            f"delay floor {delay_floor!r} s above the delay cap {delay_cap!r} s"
+        )
 
     specs = powermodel.device_specs(scenario)
     packet = scenario.settings.packet_size
@@ -529,7 +534,11 @@ def formulate(
                 f"Q_{link.id}", CONTINUOUS,
                 table.delays[0] / DELAY_UNIT, table.delays[k_top] / DELAY_UNIT,
             )
-        t_var = var("T", CONTINUOUS, 0.0, None if delay_cap is None else delay_cap / DELAY_UNIT)
+        t_var = var(
+            "T", CONTINUOUS,
+            0.0 if delay_floor is None else delay_floor / DELAY_UNIT,
+            None if delay_cap is None else delay_cap / DELAY_UNIT,
+        )
 
     x: dict[tuple[str, str], str] = {}
     y: dict[tuple[str, str], str] = {}

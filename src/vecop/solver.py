@@ -22,6 +22,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -63,6 +64,7 @@ __all__ = [
     "InstanceTooLarge",
     "SolverStopped",
     "solve",
+    "capped_model",
     "power_cap",
     "joint_weights",
     "solve_joint",
@@ -82,6 +84,17 @@ BRUTE_FORCE_MAX_NODES = 6
 # Relative slack on a delay cap, so that the allocation it was taken from
 # stays feasible despite rounding (see joint_weights()).
 CAP_MARGIN = 1e-6
+
+# solve() turns HiGHS's feasibility jump off, an option scipy's milp does not
+# know: it passes it through and warns on every call. Only that exact
+# message is silenced, so any other unknown option still warns. A filter,
+# not catch_warnings, which is not thread-safe: the harness solves on a
+# thread pool.
+warnings.filterwarnings(
+    "ignore",
+    message=r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}\. ",
+    category=RuntimeWarning,
+)
 
 
 class SolverError(ValueError):
@@ -320,6 +333,25 @@ def _decode(
     return Allocation(demands=demands)
 
 
+def capped_model(
+    scenario: Scenario,
+    linkset: LinkSet,
+    tables: dict[str, DelayTable],
+    weights: ObjectiveWeights,
+    delay_cap: Optional[float] = None,
+    delay_floor: Optional[float] = None,
+) -> tuple[MilpModel, Optional[float]]:
+    """The model solve() hands HiGHS, and the power cap it is formulated
+    under: formulate() with `delay_cap` and `delay_floor` and, for a
+    power-only objective, power_cap(). `vecop export` writes this model."""
+    cap = power_cap(scenario, linkset, tables, weights)
+    model = formulate(
+        scenario, linkset, tables, weights,
+        delay_cap=delay_cap, power_cap=cap, delay_floor=delay_floor,
+    )
+    return model, cap
+
+
 def solve(
     scenario: Scenario,
     linkset: LinkSet,
@@ -327,6 +359,7 @@ def solve(
     weights: ObjectiveWeights,
     limits: Limits = Limits(),
     delay_cap: Optional[float] = None,
+    delay_floor: Optional[float] = None,
 ) -> SolveResult:
     """Provably optimal allocation, or an infeasibility report naming the
     binding constraint family.
@@ -336,6 +369,11 @@ def solve(
     it); a solve that finds no allocation under it raises SolverError.
     A power-only objective is solved under power_cap(), which a feasible
     allocation meets too, and raises SolverError in the same way.
+    `delay_floor` (seconds) is a max delay that no allocation beats, T* of
+    a delay-only solve (joint_weights() gives it); it is T's lower bound.
+    A model under no cap that HiGHS reports infeasible raises SolverError
+    too when _nearest_allocation (single demand) finds an allocation that
+    evaluate() accepts.
     Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
@@ -362,8 +400,7 @@ def solve(
                 ),
             )
 
-    cap = power_cap(scenario, linkset, tables, weights)
-    model = formulate(scenario, linkset, tables, weights, delay_cap=delay_cap, power_cap=cap)
+    model, cap = capped_model(scenario, linkset, tables, weights, delay_cap, delay_floor)
     names, c, integrality, bounds, constraint = _to_arrays(model)
     # HiGHS prunes nodes within 1e-6 objective units of the incumbent, and
     # its LP tolerances on reduced costs are absolute too. Any objective
@@ -381,7 +418,11 @@ def solve(
             constraints=constraint,
             bounds=bounds,
             integrality=integrality,
-            options={"mip_rel_gap": 0.0, "presolve": True},
+            options={
+                "mip_rel_gap": 0.0,
+                "presolve": True,
+                "mip_heuristic_run_feasibility_jump": False,
+            },
         )
     wall = time.perf_counter() - start
     gap, bound = res.get("mip_gap"), res.get("mip_dual_bound")
@@ -401,6 +442,11 @@ def solve(
             raise SolverError(
                 f"no allocation under the power cap {cap!r} W, which a feasible "
                 "allocation meets: the cap is wrong"
+            )
+        if _nearest_allocation(scenario, linkset, tables) is not None:
+            raise SolverError(
+                "HiGHS reports the model infeasible, yet the nearest allocation "
+                "is feasible"
             )
         return SolveResult(
             status="infeasible",
@@ -542,9 +588,10 @@ def joint_weights(
     tables: dict[str, DelayTable],
     power: SolveResult,
     limits: Limits = Limits(),
-) -> tuple[Optional[ObjectiveWeights], Optional[float]]:
+) -> tuple[Optional[ObjectiveWeights], Optional[float], Optional[float]]:
     """JOINT_EQUAL weights for an instance whose power-only result is
-    `power`, and a cap on the joint optimum's max delay to solve them under.
+    `power`, and a cap and a floor on the joint optimum's max delay to solve
+    them under (solve's `delay_cap` and `delay_floor`).
 
     Normalizes by P* = power.total_power and by T* from a delay-only solve,
     which runs under the smaller of two feasible allocations' delays, so T*
@@ -555,18 +602,20 @@ def joint_weights(
     T_o <= T_r + w_power (P_r - P*) / w_delay: T_p for the power-only
     allocation, T* + w_power (P_d - P*) / w_delay for the delay-only one of
     power P_d. Both caps carry a relative CAP_MARGIN.
+    The floor is T* itself, with no margin: no allocation's max delay is
+    below it. It never exceeds the cap, as T_p >= T* and P_d >= P*.
 
     When T* is zero (local processing) the joint objective degenerates to
-    power-only: POWER_WEIGHTS with no cap, and the joint result is then
-    `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
-    (None, None) when `power` is not optimal: the instance is then
+    power-only: POWER_WEIGHTS with no cap or floor, and the joint result is
+    then `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
+    (None, None, None) when `power` is not optimal: the instance is then
     infeasible under any weights.
     """
     if power.status != "optimal":
-        return None, None
+        return None, None, None
     t_power = power.max_delay
     if t_power == 0.0:
-        return POWER_WEIGHTS, None
+        return POWER_WEIGHTS, None, None
     pre_cap = t_power
     nearest = _nearest_allocation(scenario, linkset, tables)
     if nearest is not None:
@@ -577,11 +626,11 @@ def joint_weights(
     )
     t_star = delay.max_delay
     if t_star == 0.0:
-        return POWER_WEIGHTS, None
+        return POWER_WEIGHTS, None, None
     # Each objective weighs 0.5 at its own optimum (P* > 0: every device draws idle power).
     weights = ObjectiveWeights(0.5 / power.total_power, 0.5 / t_star)
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
-    return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN)
+    return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN), t_star
 
 
 def solve_joint(
@@ -595,12 +644,14 @@ def solve_joint(
 
     `power` itself when it is not optimal (the instance is infeasible under
     any weights) or when T* = 0 (the joint objective is then power-only),
-    otherwise the joint solve under the cap joint_weights() gives.
+    otherwise the joint solve under the cap and floor joint_weights() gives.
     """
-    weights, delay_cap = joint_weights(scenario, linkset, tables, power, limits)
+    weights, delay_cap, delay_floor = joint_weights(scenario, linkset, tables, power, limits)
     if weights is None or weights.w_delay == 0.0:
         return power
-    return solve(scenario, linkset, tables, weights, limits, delay_cap=delay_cap)
+    return solve(
+        scenario, linkset, tables, weights, limits, delay_cap=delay_cap, delay_floor=delay_floor
+    )
 
 
 # ---------------------------------------------------------------------------

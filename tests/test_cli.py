@@ -17,8 +17,8 @@ from vecop.cli import (
     EXIT_VALIDATION,
     main,
 )
-from vecop.formulation import model_census
-from vecop.lp_io import export_lp, read_lp
+from vecop.formulation import DELAY_UNIT, model_census
+from vecop.lp_io import export_lp, read_lp, structurally_equal
 from vecop.scenario import (
     POWER_WEIGHTS,
     ObjectivePreset,
@@ -90,6 +90,22 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert run.returncode == EXIT_OK, run.stderr
     assert run.stdout.strip() == "ok"
+
+
+def test_solve_joint_writes_no_runtime_warning(tmp_path):
+    # solve passes HiGHS an option scipy does not know; scipy's warning
+    # about it must not reach a user.
+    out = tmp_path / "result.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "vecop.cli", "solve", "--scenario", GOLDEN,
+         "--objective", "joint", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    assert json.loads(out.read_text())["status"] == "optimal"
 
 
 def test_usage_errors(capsys):
@@ -241,6 +257,46 @@ def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch
     assert len(solved.metadata["r"]) < len(uncapped.metadata["r"])
 
 
+def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monkeypatch):
+    # The default lot (1000 kbps, vehicles and edge): export writes the
+    # joint model that solve hands HiGHS, with T in [T*, cap].
+    models, bounds = [], []
+    formulate, joint_weights = solver.formulate, solver.joint_weights
+
+    def seen(*args, **kwargs):
+        models.append(formulate(*args, **kwargs))
+        return models[-1]
+
+    def resolved(*args, **kwargs):
+        bounds.append(joint_weights(*args, **kwargs))
+        return bounds[-1]
+
+    monkeypatch.setattr(solver, "formulate", seen)
+    monkeypatch.setattr(solver, "joint_weights", resolved)
+    argv = ["--scenario", GOLDEN, "--objective", "joint"]
+    assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
+    _power, _delay, joint = models
+    [(_weights, cap, floor)] = bounds
+    t = next(v for v in joint.variables if v.name == "T")
+    assert (t.lower, t.upper) == (floor / DELAY_UNIT, cap / DELAY_UNIT)
+    assert 0.0 < floor < cap
+    lp = tmp_path / "joint.lp"
+    assert main(["export", *argv, "-o", str(lp)]) == EXIT_OK
+    assert structurally_equal(read_lp(lp.read_text()), joint)
+
+
+def test_export_joint_exits_infeasible_without_a_power_optimum(
+    overload_scenario_path, tmp_path, capsys
+):
+    # 2000 kbps exceeds both vehicles: the power-only pre-solve is
+    # infeasible, so there are no joint weights and no model to write.
+    out = tmp_path / "joint.lp"
+    argv = ["export", "--scenario", overload_scenario_path, "--objective", "joint"]
+    assert main([*argv, "-o", str(out)]) == EXIT_INFEASIBLE
+    assert "power-only pre-solve found no allocation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_joint_solves_no_model_twice(
     tiny_scenario_path, overload_scenario_path, tmp_path, monkeypatch
 ):
@@ -372,7 +428,7 @@ def test_custom_weights_validated(command, spec, tiny_scenario_path, capsys, mon
         raise AssertionError("solved with invalid weights")
 
     monkeypatch.setattr(solver, "solve", unreachable)
-    monkeypatch.setattr(cli, "formulate", unreachable)
+    monkeypatch.setattr(solver, "formulate", unreachable)
     argv = [command, "--scenario", tiny_scenario_path, "--objective", spec]
     assert main(argv) == EXIT_VALIDATION
     assert f"custom objective {spec!r}" in capsys.readouterr().err

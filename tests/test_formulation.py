@@ -488,6 +488,33 @@ def test_census_matches_closed_form_under_a_cap(
     )
 
 
+def test_delay_floor_bounds_t_and_changes_nothing_else(
+    default_scenario, default_linkset, default_tables
+):
+    # The floor is T's lower bound: the census, the rows, the objective and
+    # every other variable stay as they are under the cap alone.
+    ctx = (default_scenario, default_linkset, default_tables)
+    cap, floor = 1e-3, 4e-4
+    capped = formulate(*ctx, JOINT, delay_cap=cap)
+    floored = formulate(*ctx, JOINT, delay_cap=cap, delay_floor=floor)
+    assert model_census(floored) == model_census(capped)
+    assert floored.constraints == capped.constraints
+    assert floored.objective == capped.objective
+    t = next(v for v in floored.variables if v.name == "T")
+    assert (t.lower, t.upper) == (floor / DELAY_UNIT, cap / DELAY_UNIT)
+    assert [v for v in floored.variables if v.name != "T"] == [
+        v for v in capped.variables if v.name != "T"
+    ]
+    # Without a cap the floor bounds T alone too; without a delay weight
+    # there is no T to bound.
+    assert model_census(formulate(*ctx, JOINT, delay_floor=floor)) == model_census(
+        formulate(*ctx, JOINT)
+    )
+    assert formulate(*ctx, POWER, delay_floor=floor) == formulate(*ctx, POWER)
+    with pytest.raises(FormulationError, match="delay floor"):
+        formulate(*ctx, JOINT, delay_cap=floor, delay_floor=cap)
+
+
 def test_power_cap_keeps_every_allocation_under_it(oracle_corpus):
     # Every feasible candidate that draws at most the cap routes each remote
     # member over arcs its stream keeps, so the capped model holds every

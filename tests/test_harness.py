@@ -184,8 +184,8 @@ def test_sweep_raises_when_a_capped_joint_solve_is_infeasible(monkeypatch):
     joint_weights = solver.joint_weights
 
     def wrong_cap(*args, **kwargs):
-        weights, _ = joint_weights(*args, **kwargs)
-        return weights, 0.0
+        weights, _cap, _floor = joint_weights(*args, **kwargs)
+        return weights, 0.0, None
 
     monkeypatch.setattr(solver, "joint_weights", wrong_cap)
     with pytest.raises(solver.SolverError, match="delay cap"):

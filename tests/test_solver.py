@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import os
 import random
+import subprocess
 import sys
 import threading
 
@@ -227,7 +228,7 @@ def test_joint_weights_none_when_power_infeasible(monkeypatch):
         raise AssertionError("no delay pre-solve for an infeasible instance")
 
     monkeypatch.setattr(solver, "solve", no_solve)
-    assert joint_weights(s, ls, tb, power) == (None, None)
+    assert joint_weights(s, ls, tb, power) == (None, None, None)
 
 
 def test_joint_weights_power_only_when_delay_optimum_is_zero():
@@ -236,9 +237,7 @@ def test_joint_weights_power_only_when_delay_optimum_is_zero():
         [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
     )
     ls, tb = _ctx(s)
-    w, cap = joint_weights(s, ls, tb, solve(s, ls, tb, POWER))
-    assert w == POWER
-    assert cap is None
+    assert joint_weights(s, ls, tb, solve(s, ls, tb, POWER)) == (POWER, None, None)
 
 
 def test_joint_weights_power_only_when_the_delay_pre_solve_finds_zero():
@@ -250,7 +249,7 @@ def test_joint_weights_power_only_when_the_delay_pre_solve_finds_zero():
     power = solve(s, ls, tb, POWER)
     assert power.allocation.demands["d1"].serving == ("v2",)
     assert power.max_delay > 0.0
-    assert joint_weights(s, ls, tb, power) == (POWER, None)
+    assert joint_weights(s, ls, tb, power) == (POWER, None, None)
 
 def test_joint_weights_normalize_by_both_optima(monkeypatch):
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
@@ -266,7 +265,7 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     # The delay pre-solve goes through the module attribute, so wrappers
     # installed on solver.solve observe it.
     monkeypatch.setattr(solver, "solve", counted)
-    w, cap = joint_weights(s, ls, tb, power)
+    w, cap, floor = joint_weights(s, ls, tb, power)
     assert power.max_delay > 0.0
     assert [(c.w_delay, pre_cap) for c, pre_cap in calls] == [
         (1.0, power.max_delay * (1.0 + solver.CAP_MARGIN))
@@ -276,6 +275,7 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     assert cap == pytest.approx(
         min(power.max_delay, via_delay) * (1.0 + solver.CAP_MARGIN), rel=1e-12
     )
+    assert floor == delay.max_delay
 
 
 def _pre_solve_caps(monkeypatch, s, ls, tb, power):
@@ -317,8 +317,15 @@ def test_joint_weights_cap_several_demands_by_the_power_only_delay(monkeypatch):
     ls, tb = _ctx(s)
     power = solve(s, ls, tb, POWER)
     assert solver._nearest_allocation(s, ls, tb) is None
-    [(cap, _delay)] = _pre_solve_caps(monkeypatch, s, ls, tb, power)
+    [(cap, delay)] = _pre_solve_caps(monkeypatch, s, ls, tb, power)
     assert cap == power.max_delay * (1.0 + solver.CAP_MARGIN)
+    # T is the max over both demands, so T* floors it here too, and the
+    # floored joint solve finds the optimum of the plain model.
+    w, joint_cap, floor = joint_weights(s, ls, tb, power)
+    assert floor == delay.max_delay
+    floored = solve(s, ls, tb, w, delay_cap=joint_cap, delay_floor=floor)
+    plain = solve(s, ls, tb, w)
+    assert floored.objective_value == pytest.approx(plain.objective_value, rel=1e-9)
 
 
 def test_capped_pre_solves_report_a_zero_gap(default_scenario, monkeypatch):
@@ -336,35 +343,51 @@ def test_capped_pre_solves_report_a_zero_gap(default_scenario, monkeypatch):
 @pytest.fixture(scope="module")
 def capped_corpus(oracle_corpus):
     """Every oracle seed with T* > 0: the instance, its power-only result,
-    its JOINT_EQUAL weights and delay cap, and its oracle candidates."""
+    its JOINT_EQUAL weights, delay cap and delay floor, and its oracle
+    candidates."""
     corpus = []
     for seed, oracle in enumerate(oracle_corpus):
         s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
         power = solve(s, ls, tb, POWER)
-        w, cap = joint_weights(s, ls, tb, power)
+        w, cap, floor = joint_weights(s, ls, tb, power)
         if w is not None and w.w_delay != 0.0:
-            corpus.append((seed, s, ls, tb, power, w, cap, oracle))
+            corpus.append((seed, s, ls, tb, power, w, cap, floor, oracle))
     assert corpus
     return corpus
 
 
 def test_joint_weights_capped_path_matches_oracle(capped_corpus):
     # Every oracle seed with T* > 0: the nearest allocation is feasible and
-    # no faster than T*, the capped delay pre-solve finds T* and the capped
-    # joint solve the joint optimum that the oracle finds.
-    for seed, s, ls, tb, _power, w, cap, oracle in capped_corpus:
+    # no faster than T*, the capped delay pre-solve finds T*, which is the
+    # floor, and the capped and floored joint solve the joint optimum that
+    # the oracle finds.
+    for seed, s, ls, tb, _power, w, cap, floor, oracle in capped_corpus:
         t_star = oracle.best(DELAY).max_delay
         nearest = solver._nearest_allocation(s, ls, tb)
         assert nearest is not None, f"seed {seed}"
         assert evaluate(s, ls, tb, nearest.allocation, DELAY).max_delay == nearest.max_delay
         assert nearest.max_delay >= t_star, f"seed {seed}"
         assert 0.5 / w.w_delay == pytest.approx(t_star, rel=1e-9), f"seed {seed}"
-        joint = solve(s, ls, tb, w, delay_cap=cap)
+        assert floor == pytest.approx(t_star, rel=1e-12), f"seed {seed}"
+        joint = solve(s, ls, tb, w, delay_cap=cap, delay_floor=floor)
         assert joint.status == "optimal"
-        assert joint.max_delay <= cap
+        assert floor <= joint.max_delay <= cap
         assert joint.objective_value == pytest.approx(
             oracle.best(w).objective_value, rel=1e-9
         ), f"seed {seed}"
+        # HiGHS's certificate holds under the floor: no gap.
+        assert joint.stats.mip_dual_bound == pytest.approx(
+            joint.objective_value, rel=1e-9
+        ), f"seed {seed}"
+
+
+def test_joint_delay_floor_never_exceeds_the_cap(capped_corpus):
+    # The floor T* is the delay-only optimum; the cap is at least T* because
+    # T_p >= T* and P_d >= P*. So the floor removes no allocation.
+    for seed, _s, _ls, _tb, power, w, cap, floor, _oracle in capped_corpus:
+        assert 0.0 < floor <= cap, f"seed {seed}"
+        assert floor <= power.max_delay, f"seed {seed}"
+        assert floor == pytest.approx(0.5 / w.w_delay, rel=1e-12), f"seed {seed}"
 
 
 def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
@@ -373,7 +396,7 @@ def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
     # whose floor delay (queues at the stream's own rate) fits a cap stays
     # in that stream's arc set.
     fitting = dropped = 0
-    for seed, s, ls, tb, power, _w, joint_cap, _oracle in capped_corpus:
+    for seed, s, ls, tb, power, _w, joint_cap, _floor, _oracle in capped_corpus:
         (d,) = s.demands
         pps = delaymodel.packets_per_second(d.traffic * 1000.0, s.settings.packet_size)
         for cap in (power.max_delay * (1.0 + solver.CAP_MARGIN), joint_cap):
@@ -417,8 +440,28 @@ def test_solve_raises_when_highs_finds_nothing_under_the_power_cap(monkeypatch):
     monkeypatch.setattr(solver, "milp", infeasible)
     with pytest.raises(SolverError, match="power cap"):
         solve(s, ls, tb, POWER)
-    # Without a cap (a delay weight) the same exit reports infeasible.
-    assert solve(s, ls, tb, DELAY).status == "infeasible"
+
+
+def test_solve_raises_when_highs_misses_a_feasible_nearest_allocation(monkeypatch):
+    # Without a cap (a delay weight) nothing bounds the model, yet the
+    # nearest allocation passes the evaluator: an "infeasible" from HiGHS is
+    # then HiGHS's error, not the instance's.
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    assert solver.power_cap(s, ls, tb, DELAY) is None
+    assert solver._nearest_allocation(s, ls, tb) is not None
+    real = solver.milp
+
+    def infeasible(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.success, res.message = 2, False, "Infeasible"
+        return res
+
+    monkeypatch.setattr(solver, "milp", infeasible)
+    with pytest.raises(SolverError, match="nearest allocation is feasible"):
+        solve(s, ls, tb, DELAY)
+    with pytest.raises(SolverError, match="nearest allocation is feasible"):
+        solve(s, ls, tb, JOINT)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +503,32 @@ def test_solve_raises_on_a_non_optimal_highs_exit(monkeypatch):
     monkeypatch.setattr(solver, "milp", time_limit)
     with pytest.raises(SolverStopped, match="status 1: Time limit reached"):
         solve(s, ls, tb, POWER)
+
+
+def test_only_the_feasibility_jump_warning_is_silenced():
+    # solver's filter silences scipy's warning about the one option solve
+    # adds; an unrecognized option set that differs still warns. In a fresh
+    # interpreter, as pytest resets warning filters after collection.
+    child = (
+        "import numpy as np\n"
+        "from vecop import solver\n"
+        "def call(options):\n"
+        "    solver.milp(np.ones(1), bounds=solver.Bounds(0, 1), options=options)\n"
+        "call({'mip_heuristic_run_feasibility_jump': False})\n"
+        "try:\n"
+        "    call({'mip_heuristic_run_feasibility_jump': False, 'mip_heuristic_effort': 0.05})\n"
+        "except RuntimeWarning as w:\n"
+        "    print(w)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("Unrecognized options detected: ")
+    assert "mip_heuristic_effort" in run.stdout
 
 
 def test_solve_scales_a_power_only_objective_to_the_peak(monkeypatch):
@@ -576,6 +645,10 @@ def test_routing_infeasible_reason():
     a = solve(s, ls, tb, POWER)
     assert a.status == "infeasible"
     assert a.infeasible_reason.startswith("C4/C5/C7: ")
+    # No nearest allocation either, so HiGHS's proof stands, with a delay
+    # weight too.
+    assert solver._nearest_allocation(s, ls, tb) is None
+    assert solve(s, ls, tb, DELAY).status == "infeasible"
 
 
 def test_power_only_is_exact_across_the_access_point_tie():
