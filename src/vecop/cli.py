@@ -140,18 +140,14 @@ def _cmd_export(args) -> int:
     linkset = linkmodel.build_links(scenario)
     tables = delaymodel.build_tables(scenario, linkset)
     limits = Limits(force=args.force)
-    delay_cap = delay_floor = None
+    bounds = None
     if preset == ObjectivePreset.JOINT_EQUAL:
         power = solver.solve(scenario, linkset, tables, weights, limits)
-        weights, delay_cap, delay_floor = solver.joint_weights(
-            scenario, linkset, tables, power, limits
-        )
+        weights, bounds = solver.joint_weights(scenario, linkset, tables, power, limits)
         if weights is None:
             print("infeasible: power-only pre-solve found no allocation", file=sys.stderr)
             return EXIT_INFEASIBLE
-    model, _power_cap = solver.capped_model(
-        scenario, linkset, tables, weights, delay_cap, delay_floor
-    )
+    model, _bounds = solver.capped_model(scenario, linkset, tables, weights, bounds)
     if args.stats:
         census = model_census(model)
         print(json.dumps(census, indent=2, sort_keys=True))

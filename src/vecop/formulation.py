@@ -41,6 +41,7 @@ __all__ = [
     "Allocation",
     "SolveResult",
     "SolverStats",
+    "Bounds",
     "AllocationError",
     "FormulationError",
     "formulate",
@@ -143,6 +144,29 @@ class SolveResult:
     per_target_delay: dict[str, dict[str, float]] = field(default_factory=dict)
     stats: SolverStats = field(default_factory=SolverStats)
     infeasible_reason: str = ""
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """What is known of an instance's optimum before its model is built.
+
+    `delay_cap` (seconds) and `power_cap` (watts) are upper bounds on the
+    optimum's max delay and total power, `delay_floor` (seconds) a max
+    delay that no allocation beats; None where nothing is known.
+    `witness` is an evaluated allocation that meets the caps, the proof
+    that the model built under them is feasible (see solver.solve).
+    """
+
+    delay_cap: Optional[float] = None
+    delay_floor: Optional[float] = None
+    power_cap: Optional[float] = None
+    witness: Optional[SolveResult] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if None not in (self.delay_floor, self.delay_cap) and self.delay_floor > self.delay_cap:
+            raise FormulationError(
+                f"delay floor {self.delay_floor!r} s above the delay cap {self.delay_cap!r} s"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +438,7 @@ def formulate(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
-    delay_cap: Optional[float] = None,
-    power_cap: Optional[float] = None,
-    delay_floor: Optional[float] = None,
+    bounds: Bounds = Bounds(),
 ) -> MilpModel:
     """Assemble variables, constraints and the weighted objective.
 
@@ -459,26 +481,22 @@ def formulate(
     variables would be unconstrained by the objective there and only
     inflate the search space.
 
-    `delay_cap` (seconds), when given with a delay weight, is a known upper
-    bound on the optimum's max delay: it bounds T and drops every stream's
-    links that no path under it can use (stream_links). Through the arc
-    sets it may remove links, targets and devices, and lower the kept bins.
+    `bounds.delay_cap`, with a delay weight, bounds T and drops every
+    stream's links that no path under it can use (stream_links). Through
+    the arc sets it may remove links, targets and devices, and lower the
+    kept bins. `bounds.delay_floor`, with a delay weight, is T's lower
+    bound.
 
-    `power_cap` (watts), when given, is a known upper bound on the
-    optimum's total power: it drops every stream's links that no allocation
-    under it can use (stream_links), which is exact at w_delay = 0 <
-    w_power; solver.power_cap gives one for single-demand power-only
-    models. Like a delay cap it may remove links, targets and devices; it
-    bounds no variable.
+    `bounds.power_cap` drops every stream's links that no allocation under
+    it can use (stream_links), which is exact at w_delay = 0 < w_power;
+    solver.power_bounds gives one for single-demand power-only models. Like
+    a delay cap it may remove links, targets and devices; it bounds no
+    variable.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))
     if not eligible:
         raise FormulationError("no eligible processors")
-    if delay_floor is not None and delay_cap is not None and delay_floor > delay_cap:
-        raise FormulationError(
-            f"delay floor {delay_floor!r} s above the delay cap {delay_cap!r} s"
-        )
 
     specs = powermodel.device_specs(scenario)
     packet = scenario.settings.packet_size
@@ -504,10 +522,10 @@ def formulate(
     # Arc set of every (demand, remote target) stream; a delay cap binds
     # only a model that has T. Only the links some stream holds, the targets
     # a stream reaches and the devices their rows touch enter the model.
-    cap = delay_cap if with_delay else None
+    cap = bounds.delay_cap if with_delay else None
     routes = {
         stream: links
-        for stream, links in stream_links(scenario, linkset, tables, cap, power_cap).items()
+        for stream, links in stream_links(scenario, linkset, tables, cap, bounds.power_cap).items()
         if links
     }
     held = {link.id for links in routes.values() for link in links}
@@ -536,8 +554,8 @@ def formulate(
             )
         t_var = var(
             "T", CONTINUOUS,
-            0.0 if delay_floor is None else delay_floor / DELAY_UNIT,
-            None if delay_cap is None else delay_cap / DELAY_UNIT,
+            0.0 if bounds.delay_floor is None else bounds.delay_floor / DELAY_UNIT,
+            None if bounds.delay_cap is None else bounds.delay_cap / DELAY_UNIT,
         )
 
     x: dict[tuple[str, str], str] = {}

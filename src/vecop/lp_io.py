@@ -67,10 +67,7 @@ def export_lp(model: MilpModel) -> str:
         if v.kind == BINARY:
             continue
         if v.upper is None:
-            if v.lower == 0.0:
-                lines.append(f" {v.name} >= 0.0")
-            else:
-                lines.append(f" {v.name} >= {_fmt(v.lower)}")
+            lines.append(f" {v.name} >= {_fmt(v.lower)}")
         else:
             lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
     for section, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
@@ -99,15 +96,10 @@ def _parse_expr(tokens: list[str], line_no: int) -> dict[str, float]:
     sign = 1.0
     coef: float | None = None
     for tok in tokens:
-        if tok == "+":
+        if tok in ("+", "-"):
             if coef is not None:
-                raise LpParseError(line_no, "dangling coefficient before '+'")
-            sign = 1.0
-        elif tok == "-":
-            if coef is not None:
-                coef = -coef
-            else:
-                sign = -sign
+                raise LpParseError(line_no, f"dangling coefficient before {tok!r}")
+            sign = 1.0 if tok == "+" else -sign
         elif _is_number(tok):
             if coef is not None:
                 raise LpParseError(line_no, f"two consecutive numbers near {tok!r}")

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds as VariableBounds
+from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
 from .delaymodel import DelayTable
@@ -35,6 +36,7 @@ from .formulation import (
     CONTINUOUS,
     Allocation,
     AllocationError,
+    Bounds,
     DemandAllocation,
     MilpModel,
     SolveResult,
@@ -63,9 +65,10 @@ __all__ = [
     "SolverError",
     "InstanceTooLarge",
     "SolverStopped",
+    "Bounds",
     "solve",
     "capped_model",
-    "power_cap",
+    "power_bounds",
     "joint_weights",
     "solve_joint",
     "greedy_split",
@@ -265,7 +268,7 @@ def _to_arrays(model: MilpModel):
             lo.append(con.rhs)
             hi.append(con.rhs)
     matrix = coo_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
-    return names, c, integrality, Bounds(lower, upper), LinearConstraint(matrix, lo, hi)
+    return names, c, integrality, VariableBounds(lower, upper), LinearConstraint(matrix, lo, hi)
 
 
 def _walk_route(
@@ -338,18 +341,14 @@ def capped_model(
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
-    delay_cap: Optional[float] = None,
-    delay_floor: Optional[float] = None,
-) -> tuple[MilpModel, Optional[float]]:
-    """The model solve() hands HiGHS, and the power cap it is formulated
-    under: formulate() with `delay_cap` and `delay_floor` and, for a
-    power-only objective, power_cap(). `vecop export` writes this model."""
-    cap = power_cap(scenario, linkset, tables, weights)
-    model = formulate(
-        scenario, linkset, tables, weights,
-        delay_cap=delay_cap, power_cap=cap, delay_floor=delay_floor,
-    )
-    return model, cap
+    bounds: Optional[Bounds] = None,
+) -> tuple[MilpModel, Bounds]:
+    """The model solve() hands HiGHS, and the bounds it is formulated
+    under: `bounds`, or power_bounds() when none are given. `vecop export`
+    writes this model."""
+    if bounds is None:
+        bounds = power_bounds(scenario, linkset, tables, weights)
+    return formulate(scenario, linkset, tables, weights, bounds), bounds
 
 
 def solve(
@@ -358,22 +357,16 @@ def solve(
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
     limits: Limits = Limits(),
-    delay_cap: Optional[float] = None,
-    delay_floor: Optional[float] = None,
+    bounds: Optional[Bounds] = None,
 ) -> SolveResult:
     """Provably optimal allocation, or an infeasibility report naming the
     binding constraint family.
 
-    `delay_cap` (seconds) is a max delay that a known feasible allocation
-    meets and the optimum cannot exceed (formulate() bounds the model by
-    it); a solve that finds no allocation under it raises SolverError.
-    A power-only objective is solved under power_cap(), which a feasible
-    allocation meets too, and raises SolverError in the same way.
-    `delay_floor` (seconds) is a max delay that no allocation beats, T* of
-    a delay-only solve (joint_weights() gives it); it is T's lower bound.
-    A model under no cap that HiGHS reports infeasible raises SolverError
-    too when _nearest_allocation (single demand) finds an allocation that
-    evaluate() accepts.
+    The model is capped_model()'s: built under `bounds` (joint_weights()
+    gives them for the joint chain), or under power_bounds() when none are
+    given. A model that HiGHS reports infeasible raises SolverError when an
+    allocation proves it feasible: the bounds' witness or, without one,
+    _nearest_allocation (single demand).
     Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
@@ -400,8 +393,8 @@ def solve(
                 ),
             )
 
-    model, cap = capped_model(scenario, linkset, tables, weights, delay_cap, delay_floor)
-    names, c, integrality, bounds, constraint = _to_arrays(model)
+    model, bounds = capped_model(scenario, linkset, tables, weights, bounds)
+    names, c, integrality, var_bounds, constraint = _to_arrays(model)
     # HiGHS prunes nodes within 1e-6 objective units of the incumbent, and
     # its LP tolerances on reduced costs are absolute too. Any objective
     # (power-only tens of watts, joint about 1, delay-only about 3e-4)
@@ -416,7 +409,7 @@ def solve(
         res = milp(
             c,
             constraints=constraint,
-            bounds=bounds,
+            bounds=var_bounds,
             integrality=integrality,
             options={
                 "mip_rel_gap": 0.0,
@@ -433,20 +426,11 @@ def solve(
         mip_dual_bound=None if bound is None else float(bound) / scale,
     )
     if res.status == 2:
-        if delay_cap is not None:
+        witness = bounds.witness or _nearest_allocation(scenario, linkset, tables)
+        if witness is not None:
             raise SolverError(
-                f"no allocation under the delay cap {delay_cap!r} s, which a feasible "
-                "allocation meets: the cap is wrong"
-            )
-        if cap is not None:
-            raise SolverError(
-                f"no allocation under the power cap {cap!r} W, which a feasible "
-                "allocation meets: the cap is wrong"
-            )
-        if _nearest_allocation(scenario, linkset, tables) is not None:
-            raise SolverError(
-                "HiGHS reports the model infeasible, yet the nearest allocation "
-                "is feasible"
+                f"HiGHS reports the model under {bounds!r} infeasible, yet an allocation "
+                f"of {witness.total_power!r} W and max delay {witness.max_delay!r} s meets it"
             )
         return SolveResult(
             status="infeasible",
@@ -506,7 +490,8 @@ def _nearest_allocation(
     node id), as few as cover the load, each on its floor-shortest path over
     the links that carry the stream, split by greedy_split. None for
     several demands, when the reachable eligible nodes cannot cover the
-    load, or when the allocation breaks a shared budget.
+    load, or when the allocation breaks a shared budget. Its callers run it
+    only where all eligible nodes together cover the load.
     """
     if len(scenario.demands) != 1:
         return None
@@ -524,8 +509,6 @@ def _nearest_allocation(
         capacity += scenario.node(n).processor.capacity
         if (demand.load or 0.0) <= capacity * (1.0 + CAPACITY_TOL):
             break
-    else:
-        return None
     return _tree_allocation(scenario, linkset, tables, serving, via, ObjectiveWeights(0.0, 1.0))
 
 
@@ -566,20 +549,22 @@ def _reference_allocation(
     return _tree_allocation(scenario, linkset, tables, serving, via, POWER_WEIGHTS)
 
 
-def power_cap(
+def power_bounds(
     scenario: Scenario,
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
-) -> Optional[float]:
-    """The power cap solve() formulates a model under (formulate's
-    `power_cap`): the total power of _reference_allocation when the
-    objective is power-only (w_delay = 0 < w_power), else None, as it is
-    when there is no reference allocation."""
+) -> Bounds:
+    """The bounds solve() formulates a model under when it is given none:
+    when the objective is power-only (w_delay = 0 < w_power), a power cap
+    at the total power of _reference_allocation, its witness; else, as when
+    there is no reference allocation, no bounds."""
     if weights.w_delay != 0.0 or weights.w_power <= 0.0:
-        return None
+        return Bounds()
     reference = _reference_allocation(scenario, linkset, tables)
-    return None if reference is None else reference.total_power
+    if reference is None:
+        return Bounds()
+    return Bounds(power_cap=reference.total_power, witness=reference)
 
 
 def joint_weights(
@@ -588,10 +573,10 @@ def joint_weights(
     tables: dict[str, DelayTable],
     power: SolveResult,
     limits: Limits = Limits(),
-) -> tuple[Optional[ObjectiveWeights], Optional[float], Optional[float]]:
+) -> tuple[Optional[ObjectiveWeights], Optional[Bounds]]:
     """JOINT_EQUAL weights for an instance whose power-only result is
-    `power`, and a cap and a floor on the joint optimum's max delay to solve
-    them under (solve's `delay_cap` and `delay_floor`).
+    `power`, and the Bounds to solve them under: a cap and a floor on the
+    joint optimum's max delay.
 
     Normalizes by P* = power.total_power and by T* from a delay-only solve,
     which runs under the smaller of two feasible allocations' delays, so T*
@@ -601,36 +586,38 @@ def joint_weights(
     w_power P_o + w_delay T_o <= w_power P_r + w_delay T_r, and P_o >= P*, so
     T_o <= T_r + w_power (P_r - P*) / w_delay: T_p for the power-only
     allocation, T* + w_power (P_d - P*) / w_delay for the delay-only one of
-    power P_d. Both caps carry a relative CAP_MARGIN.
+    power P_d. Both caps carry a relative CAP_MARGIN, and each solve's
+    witness is the allocation its cap was taken from.
     The floor is T* itself, with no margin: no allocation's max delay is
     below it. It never exceeds the cap, as T_p >= T* and P_d >= P*.
 
     When T* is zero (local processing) the joint objective degenerates to
-    power-only: POWER_WEIGHTS with no cap or floor, and the joint result is
-    then `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
-    (None, None, None) when `power` is not optimal: the instance is then
+    power-only: POWER_WEIGHTS with no bounds, and the joint result is then
+    `power` itself. T_p = 0 gives T* = 0 without the delay-only solve.
+    (None, None) when `power` is not optimal: the instance is then
     infeasible under any weights.
     """
     if power.status != "optimal":
-        return None, None, None
-    t_power = power.max_delay
-    if t_power == 0.0:
-        return POWER_WEIGHTS, None, None
-    pre_cap = t_power
+        return None, None
+    if power.max_delay == 0.0:
+        return POWER_WEIGHTS, None
+    witness = power
     nearest = _nearest_allocation(scenario, linkset, tables)
-    if nearest is not None:
-        pre_cap = min(pre_cap, nearest.max_delay)
+    if nearest is not None and nearest.max_delay < power.max_delay:
+        witness = nearest
     delay = solve(
-        scenario, linkset, tables, ObjectiveWeights(0.0, 1.0),
-        limits, delay_cap=pre_cap * (1.0 + CAP_MARGIN),
+        scenario, linkset, tables, ObjectiveWeights(0.0, 1.0), limits,
+        bounds=Bounds(delay_cap=witness.max_delay * (1.0 + CAP_MARGIN), witness=witness),
     )
     t_star = delay.max_delay
     if t_star == 0.0:
-        return POWER_WEIGHTS, None, None
+        return POWER_WEIGHTS, None
     # Each objective weighs 0.5 at its own optimum (P* > 0: every device draws idle power).
     weights = ObjectiveWeights(0.5 / power.total_power, 0.5 / t_star)
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
-    return weights, min(t_power, via_delay) * (1.0 + CAP_MARGIN), t_star
+    witness = power if power.max_delay <= via_delay else delay
+    cap = min(power.max_delay, via_delay) * (1.0 + CAP_MARGIN)
+    return weights, Bounds(delay_cap=cap, delay_floor=t_star, witness=witness)
 
 
 def solve_joint(
@@ -644,14 +631,12 @@ def solve_joint(
 
     `power` itself when it is not optimal (the instance is infeasible under
     any weights) or when T* = 0 (the joint objective is then power-only),
-    otherwise the joint solve under the cap and floor joint_weights() gives.
+    otherwise the joint solve under the bounds joint_weights() gives.
     """
-    weights, delay_cap, delay_floor = joint_weights(scenario, linkset, tables, power, limits)
+    weights, bounds = joint_weights(scenario, linkset, tables, power, limits)
     if weights is None or weights.w_delay == 0.0:
         return power
-    return solve(
-        scenario, linkset, tables, weights, limits, delay_cap=delay_cap, delay_floor=delay_floor
-    )
+    return solve(scenario, linkset, tables, weights, limits, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,23 @@ def test_default_sweep_matches_golden(default_sweep):
     change that moves any optimum, or its tie-break, shows here."""
     table, _collected, _wall = default_sweep
     assert table_to_csv(table).encode() == GOLDEN_SWEEP.read_bytes()
+
+
+# HiGHS's seed is an option scipy's milp does not know: it passes it through
+# and warns, listing it with the feasibility-jump option in either order.
+@pytest.mark.filterwarnings(
+    r"ignore:Unrecognized options detected. \{[^}]*'random_seed'[^}]*\}. :RuntimeWarning"
+)
+def test_default_sweep_matches_golden_at_another_highs_seed(monkeypatch):
+    """A second HiGHS path through every solve: another random seed, on the
+    thread pool, must certify the same optima and tie-breaks."""
+    milp, seeds = solver.milp, []
+
+    def seeded(*args, options, **kwargs):
+        seeds.append(1)
+        return milp(*args, options={**options, "random_seed": 1}, **kwargs)
+
+    monkeypatch.setattr(solver, "milp", seeded)
+    table = harness.sweep(generate_default(42), threads=2)
+    assert seeds
+    assert table_to_csv(table).encode() == GOLDEN_SWEEP.read_bytes()

@@ -276,7 +276,8 @@ def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monk
     argv = ["--scenario", GOLDEN, "--objective", "joint"]
     assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
     _power, _delay, joint = models
-    [(_weights, cap, floor)] = bounds
+    [(_weights, joint_bounds)] = bounds
+    cap, floor = joint_bounds.delay_cap, joint_bounds.delay_floor
     t = next(v for v in joint.variables if v.name == "T")
     assert (t.lower, t.upper) == (floor / DELAY_UNIT, cap / DELAY_UNIT)
     assert 0.0 < floor < cap
@@ -362,9 +363,9 @@ def test_front_ends_solve_the_one_joint_chain(front_end, traffic, solves, tmp_pa
     calls = []
     solve = solver.solve
 
-    def recorded(*args, delay_cap=None, **kwargs):
-        calls.append((args[3], delay_cap))
-        return solve(*args, delay_cap=delay_cap, **kwargs)
+    def recorded(*args, bounds=None, **kwargs):
+        calls.append((args[3], None if bounds is None else bounds.delay_cap))
+        return solve(*args, bounds=bounds, **kwargs)
 
     monkeypatch.setattr(solver, "solve", recorded)
     front_end(s, tmp_path)

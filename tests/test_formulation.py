@@ -13,6 +13,7 @@ from vecop.formulation import (
     INTEGER,
     Allocation,
     AllocationError,
+    Bounds,
     Constraint,
     DemandAllocation,
     FormulationError,
@@ -66,7 +67,7 @@ def model_census_formula(scenario, linkset, tables, delay_cap=None, power_cap=No
     """Closed-form variable/constraint counts, given the stream_links of
     each stream, of the delay-weighted model (w_delay != 0), which carries
     the queue-bin machinery, under `delay_cap` and `power_cap` as
-    formulate() takes them.
+    stream_links() takes them.
     Only the links some stream holds, the targets (the eligible source and
     the nodes whose stream has an arc) and the devices their rows touch
     count. `integers` are the bin indexes n, which `binaries` leaves out."""
@@ -199,7 +200,7 @@ def test_reachable_bins_hold_the_largest_arrival_rate(
 def test_delay_cap_none_is_the_uncapped_model(
     default_model, default_scenario, default_linkset, default_tables
 ):
-    capped = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=None)
+    capped = formulate(default_scenario, default_linkset, default_tables, JOINT, Bounds())
     assert capped == default_model
     assert next(v for v in capped.variables if v.name == "T").upper is None
 
@@ -225,7 +226,7 @@ def test_delay_cap_bounds_t_and_trims_bins(default_scenario, default_linkset, de
         )
     )
     cap = 1e-3
-    model = formulate(s, default_linkset, default_tables, JOINT, delay_cap=cap)
+    model = formulate(s, default_linkset, default_tables, JOINT, Bounds(delay_cap=cap))
     variables = {v.name: v for v in model.variables}
     assert variables["T"].upper == cap / DELAY_UNIT
     pps = delaymodel.packets_per_second(4000.0 * 1000.0, 1500.0)
@@ -264,7 +265,7 @@ def test_delay_cap_zero_leaves_only_local_processing():
     s, ls, tb = _ctx(
         [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
     )
-    model = formulate(s, ls, tb, JOINT, delay_cap=0.0)
+    model = formulate(s, ls, tb, JOINT, Bounds(delay_cap=0.0))
     # No path fits under a zero cap: the source is the only target, and no
     # stream keeps a routing variable or a link a queue block.
     assert model.metadata["targets"] == {"d1": ["v1"]}
@@ -339,7 +340,9 @@ def test_queue_rows_charge_each_bins_delay(default_scenario, default_linkset, de
     # and bounds allow is bin n's table delay; with and without a cap.
     # Only the links some stream holds have a bin index.
     for cap in (None, 1e-3):
-        model = formulate(default_scenario, default_linkset, default_tables, JOINT, cap)
+        model = formulate(
+            default_scenario, default_linkset, default_tables, JOINT, Bounds(delay_cap=cap)
+        )
         variables = {v.name: v for v in model.variables}
         rows: dict[str, list[Constraint]] = {}
         for c in model.constraints:
@@ -457,7 +460,7 @@ def test_stream_links_drop_links_a_stream_overloads():
         for (_d, n), links in stream_links(s, ls, tb, 1.0).items()
     }
     assert hops == {"e1": [("v1", "e1")], "v2": [("v1", "e1"), ("e1", "v2")]}
-    model = formulate(s, ls, tb, JOINT, delay_cap=1.0)
+    model = formulate(s, ls, tb, JOINT, Bounds(delay_cap=1.0))
     assert not any(l in dsrc for (_d, _n, l) in model.metadata["r"])
 
 
@@ -465,16 +468,20 @@ def test_census_matches_closed_form_under_a_cap(
     default_scenario, default_linkset, default_tables
 ):
     for cap in (4e-4, 1e-3):
-        model = formulate(default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap)
+        model = formulate(
+            default_scenario, default_linkset, default_tables, JOINT, Bounds(delay_cap=cap)
+        )
         assert model_census(model) == model_census_formula(
             default_scenario, default_linkset, default_tables, cap
         )
     # The default lot's power cap (18.31 W) on its own and with a delay cap.
-    power = solver.power_cap(default_scenario, default_linkset, default_tables, POWER)
+    power = solver.power_bounds(
+        default_scenario, default_linkset, default_tables, POWER
+    ).power_cap
     for cap in (None, 1e-3):
         model = formulate(
-            default_scenario, default_linkset, default_tables, JOINT, delay_cap=cap,
-            power_cap=power,
+            default_scenario, default_linkset, default_tables, JOINT,
+            Bounds(delay_cap=cap, power_cap=power),
         )
         assert model_census(model) == model_census_formula(
             default_scenario, default_linkset, default_tables, cap, power
@@ -483,9 +490,8 @@ def test_census_matches_closed_form_under_a_cap(
     ls = linkmodel.build_links(s)
     tb = delaymodel.build_tables(s, ls)
     cap = 6e-4
-    assert model_census(formulate(s, ls, tb, JOINT, delay_cap=cap)) == model_census_formula(
-        s, ls, tb, cap
-    )
+    model = formulate(s, ls, tb, JOINT, Bounds(delay_cap=cap))
+    assert model_census(model) == model_census_formula(s, ls, tb, cap)
 
 
 def test_delay_floor_bounds_t_and_changes_nothing_else(
@@ -495,8 +501,8 @@ def test_delay_floor_bounds_t_and_changes_nothing_else(
     # every other variable stay as they are under the cap alone.
     ctx = (default_scenario, default_linkset, default_tables)
     cap, floor = 1e-3, 4e-4
-    capped = formulate(*ctx, JOINT, delay_cap=cap)
-    floored = formulate(*ctx, JOINT, delay_cap=cap, delay_floor=floor)
+    capped = formulate(*ctx, JOINT, Bounds(delay_cap=cap))
+    floored = formulate(*ctx, JOINT, Bounds(delay_cap=cap, delay_floor=floor))
     assert model_census(floored) == model_census(capped)
     assert floored.constraints == capped.constraints
     assert floored.objective == capped.objective
@@ -507,12 +513,12 @@ def test_delay_floor_bounds_t_and_changes_nothing_else(
     ]
     # Without a cap the floor bounds T alone too; without a delay weight
     # there is no T to bound.
-    assert model_census(formulate(*ctx, JOINT, delay_floor=floor)) == model_census(
+    assert model_census(formulate(*ctx, JOINT, Bounds(delay_floor=floor))) == model_census(
         formulate(*ctx, JOINT)
     )
-    assert formulate(*ctx, POWER, delay_floor=floor) == formulate(*ctx, POWER)
+    assert formulate(*ctx, POWER, Bounds(delay_floor=floor)) == formulate(*ctx, POWER)
     with pytest.raises(FormulationError, match="delay floor"):
-        formulate(*ctx, JOINT, delay_cap=floor, delay_floor=cap)
+        Bounds(delay_cap=floor, delay_floor=cap)
 
 
 def test_power_cap_keeps_every_allocation_under_it(oracle_corpus):
@@ -522,7 +528,7 @@ def test_power_cap_keeps_every_allocation_under_it(oracle_corpus):
     routed = dropped = 0
     for seed, oracle in enumerate(oracle_corpus):
         s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
-        cap = solver.power_cap(s, ls, tb, POWER)
+        cap = solver.power_bounds(s, ls, tb, POWER).power_cap
         if cap is None:
             continue
         capped = {
@@ -548,7 +554,7 @@ def _check_declares_only_what_streams_use(s, ls, tb, weights, cap=None):
     """Every queue block sits on a link some stream's arc set holds, every
     x/y on the source or a target whose stream has an arc, and every
     activation a in some row."""
-    model = formulate(s, ls, tb, weights, delay_cap=cap)
+    model = formulate(s, ls, tb, weights, Bounds(delay_cap=cap))
     streams = stream_links(s, ls, tb, cap if weights.w_delay else None)
     held = {link.id for links in streams.values() for link in links}
     targets = {

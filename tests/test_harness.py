@@ -184,10 +184,10 @@ def test_sweep_raises_when_a_capped_joint_solve_is_infeasible(monkeypatch):
     joint_weights = solver.joint_weights
 
     def wrong_cap(*args, **kwargs):
-        weights, _cap, _floor = joint_weights(*args, **kwargs)
-        return weights, 0.0, None
+        weights, bounds = joint_weights(*args, **kwargs)
+        return weights, solver.Bounds(delay_cap=0.0, witness=bounds.witness)
 
     monkeypatch.setattr(solver, "joint_weights", wrong_cap)
-    with pytest.raises(solver.SolverError, match="delay cap"):
+    with pytest.raises(solver.SolverError, match="delay_cap=0.0"):
         sweep(s, demands=(1000.0,), settings=(VO,), presets=(PO, JE))
 

@@ -3,7 +3,9 @@ import pytest
 from vecop.formulation import (
     BINARY,
     CONTINUOUS,
+    DELAY_UNIT,
     INTEGER,
+    Bounds,
     Constraint,
     MilpModel,
     Variable,
@@ -60,6 +62,25 @@ def test_round_trip_default_model(default_scenario, default_linkset, default_tab
     assert export_lp(read_lp(text2)) == text2
 
 
+def test_round_trip_a_floor_without_a_cap(default_scenario, default_linkset, default_tables):
+    # T then has a lower bound and no upper one: a "T >= <floor>" line.
+    floor = 4e-4
+    m = formulate(
+        default_scenario, default_linkset, default_tables, JOINT, Bounds(delay_floor=floor)
+    )
+    text = export_lp(m)
+    assert f"\n T >= {floor / DELAY_UNIT!r}\n" in text
+    assert structurally_equal(read_lp(text), m)
+
+
+def test_round_trip_an_empty_objective():
+    m = tiny_model()
+    m = MilpModel(m.variables, m.constraints, {})
+    text = export_lp(m)
+    assert text.startswith("Minimize\n obj: 0\n")
+    assert structurally_equal(read_lp(text), m)
+
+
 def test_reader_reads_generals_as_integers():
     m = read_lp(
         "Minimize\n obj: x + n + m\nSubject To\n c1: x + n + m >= 1.5\n"
@@ -100,8 +121,15 @@ def test_parse_error_reports_line():
         ("Minimize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n x free\nEnd\n", 6),
         ("Minimize\n obj: x\nSubject To\n x + y <= 1\nEnd\n", 4),
         ("Minimize\n obj: x\nSubject To\n c1: x < 1\nEnd\n", 4),
+        ("Minimize\n obj: 3 - x\nSubject To\n c1: x <= 1\nEnd\n", 2),
+        ("Minimize\n obj: x\nSubject To\n c1: 2 - y >= 1.0\nEnd\n", 4),
+        ("Minimize\n obj: x\nSubject To\n c1: x + 2 <= 1\nEnd\n", 4),
+        ("Minimize\n obj: x\nSubject To\n c1: x <= y\nEnd\n", 4),
     ],
-    ids=["min", "st", "wrapped-row", "free-bound", "unnamed-row", "less-than"],
+    ids=[
+        "min", "st", "wrapped-row", "free-bound", "unnamed-row", "less-than",
+        "number-minus-objective", "number-minus-row", "trailing-coefficient", "rhs-not-a-number",
+    ],
 )
 def test_reader_rejects_forms_export_never_writes(text, line_no):
     # Each of these is valid CPLEX LP elsewhere; reading it must fail loudly

@@ -147,6 +147,17 @@ def test_formats_md_scenario_example_has_the_emitted_settings(default_scenario):
     assert set(documented) == set(json.loads(emit_scenario(default_scenario))["settings"])
 
 
+def test_parse_rejects_an_unknown_processing_setting():
+    raw = json.loads(GOLDEN.read_text())
+    raw["settings"]["processing_setting"] = "EDGE_ONLY"
+    allowed = "{VEHICLES_ONLY, VEHICLES_AND_EDGE, CLOUD_ONLY}"
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(json.dumps(raw))
+    assert str(e.value) == (
+        f"settings.processing_setting: expected one of {allowed}, got 'EDGE_ONLY'"
+    )
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ScenarioError):
         parse_scenario("{not json")

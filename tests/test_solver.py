@@ -32,6 +32,7 @@ from vecop.scenario import (
     validate,
 )
 from vecop.solver import (
+    Bounds,
     InstanceTooLarge,
     Limits,
     SolverError,
@@ -228,7 +229,7 @@ def test_joint_weights_none_when_power_infeasible(monkeypatch):
         raise AssertionError("no delay pre-solve for an infeasible instance")
 
     monkeypatch.setattr(solver, "solve", no_solve)
-    assert joint_weights(s, ls, tb, power) == (None, None, None)
+    assert joint_weights(s, ls, tb, power) == (None, None)
 
 
 def test_joint_weights_power_only_when_delay_optimum_is_zero():
@@ -237,7 +238,7 @@ def test_joint_weights_power_only_when_delay_optimum_is_zero():
         [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=400.0, bins=8
     )
     ls, tb = _ctx(s)
-    assert joint_weights(s, ls, tb, solve(s, ls, tb, POWER)) == (POWER, None, None)
+    assert joint_weights(s, ls, tb, solve(s, ls, tb, POWER)) == (POWER, None)
 
 
 def test_joint_weights_power_only_when_the_delay_pre_solve_finds_zero():
@@ -249,7 +250,7 @@ def test_joint_weights_power_only_when_the_delay_pre_solve_finds_zero():
     power = solve(s, ls, tb, POWER)
     assert power.allocation.demands["d1"].serving == ("v2",)
     assert power.max_delay > 0.0
-    assert joint_weights(s, ls, tb, power) == (POWER, None, None)
+    assert joint_weights(s, ls, tb, power) == (POWER, None)
 
 def test_joint_weights_normalize_by_both_optima(monkeypatch):
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
@@ -259,13 +260,14 @@ def test_joint_weights_normalize_by_both_optima(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append((args[3], kwargs["delay_cap"]))
+        calls.append((args[3], kwargs["bounds"].delay_cap))
         return solve(*args, **kwargs)
 
     # The delay pre-solve goes through the module attribute, so wrappers
     # installed on solver.solve observe it.
     monkeypatch.setattr(solver, "solve", counted)
-    w, cap, floor = joint_weights(s, ls, tb, power)
+    w, bounds = joint_weights(s, ls, tb, power)
+    cap, floor = bounds.delay_cap, bounds.delay_floor
     assert power.max_delay > 0.0
     assert [(c.w_delay, pre_cap) for c, pre_cap in calls] == [
         (1.0, power.max_delay * (1.0 + solver.CAP_MARGIN))
@@ -286,7 +288,7 @@ def _pre_solve_caps(monkeypatch, s, ls, tb, power):
     def recorded(*args, **kwargs):
         result = solve(*args, **kwargs)
         if args[3].w_power == 0.0:
-            calls.append((kwargs["delay_cap"], result))
+            calls.append((kwargs["bounds"].delay_cap, result))
         return result
 
     monkeypatch.setattr(solver, "solve", recorded)
@@ -321,9 +323,9 @@ def test_joint_weights_cap_several_demands_by_the_power_only_delay(monkeypatch):
     assert cap == power.max_delay * (1.0 + solver.CAP_MARGIN)
     # T is the max over both demands, so T* floors it here too, and the
     # floored joint solve finds the optimum of the plain model.
-    w, joint_cap, floor = joint_weights(s, ls, tb, power)
-    assert floor == delay.max_delay
-    floored = solve(s, ls, tb, w, delay_cap=joint_cap, delay_floor=floor)
+    w, bounds = joint_weights(s, ls, tb, power)
+    assert bounds.delay_floor == delay.max_delay
+    floored = solve(s, ls, tb, w, bounds=bounds)
     plain = solve(s, ls, tb, w)
     assert floored.objective_value == pytest.approx(plain.objective_value, rel=1e-9)
 
@@ -343,15 +345,14 @@ def test_capped_pre_solves_report_a_zero_gap(default_scenario, monkeypatch):
 @pytest.fixture(scope="module")
 def capped_corpus(oracle_corpus):
     """Every oracle seed with T* > 0: the instance, its power-only result,
-    its JOINT_EQUAL weights, delay cap and delay floor, and its oracle
-    candidates."""
+    its JOINT_EQUAL weights and bounds, and its oracle candidates."""
     corpus = []
     for seed, oracle in enumerate(oracle_corpus):
         s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
         power = solve(s, ls, tb, POWER)
-        w, cap, floor = joint_weights(s, ls, tb, power)
+        w, bounds = joint_weights(s, ls, tb, power)
         if w is not None and w.w_delay != 0.0:
-            corpus.append((seed, s, ls, tb, power, w, cap, floor, oracle))
+            corpus.append((seed, s, ls, tb, power, w, bounds, oracle))
     assert corpus
     return corpus
 
@@ -361,7 +362,8 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
     # no faster than T*, the capped delay pre-solve finds T*, which is the
     # floor, and the capped and floored joint solve the joint optimum that
     # the oracle finds.
-    for seed, s, ls, tb, _power, w, cap, floor, oracle in capped_corpus:
+    for seed, s, ls, tb, _power, w, bounds, oracle in capped_corpus:
+        cap, floor = bounds.delay_cap, bounds.delay_floor
         t_star = oracle.best(DELAY).max_delay
         nearest = solver._nearest_allocation(s, ls, tb)
         assert nearest is not None, f"seed {seed}"
@@ -369,7 +371,7 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
         assert nearest.max_delay >= t_star, f"seed {seed}"
         assert 0.5 / w.w_delay == pytest.approx(t_star, rel=1e-9), f"seed {seed}"
         assert floor == pytest.approx(t_star, rel=1e-12), f"seed {seed}"
-        joint = solve(s, ls, tb, w, delay_cap=cap, delay_floor=floor)
+        joint = solve(s, ls, tb, w, bounds=bounds)
         assert joint.status == "optimal"
         assert floor <= joint.max_delay <= cap
         assert joint.objective_value == pytest.approx(
@@ -384,10 +386,13 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
 def test_joint_delay_floor_never_exceeds_the_cap(capped_corpus):
     # The floor T* is the delay-only optimum; the cap is at least T* because
     # T_p >= T* and P_d >= P*. So the floor removes no allocation.
-    for seed, _s, _ls, _tb, power, w, cap, floor, _oracle in capped_corpus:
+    for seed, _s, _ls, _tb, power, w, bounds, _oracle in capped_corpus:
+        cap, floor = bounds.delay_cap, bounds.delay_floor
         assert 0.0 < floor <= cap, f"seed {seed}"
         assert floor <= power.max_delay, f"seed {seed}"
         assert floor == pytest.approx(0.5 / w.w_delay, rel=1e-12), f"seed {seed}"
+        # The witness is an allocation under the cap.
+        assert floor <= bounds.witness.max_delay <= cap, f"seed {seed}"
 
 
 def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
@@ -396,10 +401,10 @@ def test_stream_links_keep_every_path_under_both_caps(capped_corpus):
     # whose floor delay (queues at the stream's own rate) fits a cap stays
     # in that stream's arc set.
     fitting = dropped = 0
-    for seed, s, ls, tb, power, _w, joint_cap, _floor, _oracle in capped_corpus:
+    for seed, s, ls, tb, power, _w, bounds, _oracle in capped_corpus:
         (d,) = s.demands
         pps = delaymodel.packets_per_second(d.traffic * 1000.0, s.settings.packet_size)
-        for cap in (power.max_delay * (1.0 + solver.CAP_MARGIN), joint_cap):
+        for cap in (power.max_delay * (1.0 + solver.CAP_MARGIN), bounds.delay_cap):
             streams = stream_links(s, ls, tb, cap)
             for (_d, n), links in streams.items():
                 kept = {l.id for l in links}
@@ -420,16 +425,12 @@ def test_solve_raises_when_the_cap_cuts_off_every_allocation():
     # 1000 kbps overloads v1, so every allocation ships a stream to v2.
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
     ls, tb = _ctx(s)
-    with pytest.raises(SolverError, match="delay cap"):
-        solve(s, ls, tb, JOINT, delay_cap=0.0)
+    with pytest.raises(SolverError, match="delay_cap=0.0"):
+        solve(s, ls, tb, JOINT, bounds=Bounds(delay_cap=0.0))
 
 
-def test_solve_raises_when_highs_finds_nothing_under_the_power_cap(monkeypatch):
-    # The power cap is the power of an allocation that evaluate accepted,
-    # so an "infeasible" under it is HiGHS's error, not the instance's.
-    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
-    ls, tb = _ctx(s)
-    assert solver.power_cap(s, ls, tb, POWER) is not None
+def _highs_reports_infeasible(monkeypatch):
+    """Every later milp call solves, then reports the model infeasible."""
     real = solver.milp
 
     def infeasible(*args, **kwargs):
@@ -438,7 +439,17 @@ def test_solve_raises_when_highs_finds_nothing_under_the_power_cap(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "milp", infeasible)
-    with pytest.raises(SolverError, match="power cap"):
+
+
+def test_solve_raises_when_highs_finds_nothing_under_the_power_cap(monkeypatch):
+    # The power cap is the power of an allocation that evaluate accepted,
+    # so an "infeasible" under it is HiGHS's error, not the instance's.
+    s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
+    ls, tb = _ctx(s)
+    reference = solver.power_bounds(s, ls, tb, POWER).witness
+    assert reference is not None
+    _highs_reports_infeasible(monkeypatch)
+    with pytest.raises(SolverError, match=f"power_cap={reference.total_power!r}"):
         solve(s, ls, tb, POWER)
 
 
@@ -448,20 +459,33 @@ def test_solve_raises_when_highs_misses_a_feasible_nearest_allocation(monkeypatc
     # then HiGHS's error, not the instance's.
     s = small_scenario([make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0)], traffic=1000.0)
     ls, tb = _ctx(s)
-    assert solver.power_cap(s, ls, tb, DELAY) is None
-    assert solver._nearest_allocation(s, ls, tb) is not None
-    real = solver.milp
-
-    def infeasible(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.status, res.success, res.message = 2, False, "Infeasible"
-        return res
-
-    monkeypatch.setattr(solver, "milp", infeasible)
-    with pytest.raises(SolverError, match="nearest allocation is feasible"):
+    assert solver.power_bounds(s, ls, tb, DELAY) == Bounds()
+    nearest = solver._nearest_allocation(s, ls, tb)
+    assert nearest is not None
+    _highs_reports_infeasible(monkeypatch)
+    with pytest.raises(SolverError, match=f"max delay {nearest.max_delay!r} s"):
         solve(s, ls, tb, DELAY)
-    with pytest.raises(SolverError, match="nearest allocation is feasible"):
+    with pytest.raises(SolverError, match=f"max delay {nearest.max_delay!r} s"):
         solve(s, ls, tb, JOINT)
+
+
+def test_solve_raises_under_the_witness_of_several_demands(monkeypatch):
+    # Two demands have no nearest allocation, so only the witness that
+    # joint_weights hands over, the power-only optimum or the delay-only
+    # one, turns an "infeasible" from HiGHS into an error, on the pre-solve
+    # and on the joint solve alike.
+    s = two_demand_scenario()
+    ls, tb = _ctx(s)
+    assert solver._nearest_allocation(s, ls, tb) is None
+    power = solve(s, ls, tb, POWER)
+    w, bounds = joint_weights(s, ls, tb, power)
+    witness = bounds.witness
+    assert witness is not None
+    _highs_reports_infeasible(monkeypatch)
+    with pytest.raises(SolverError, match=f"max delay {witness.max_delay!r} s"):
+        solve(s, ls, tb, w, bounds=bounds)
+    with pytest.raises(SolverError, match=f"max delay {power.max_delay!r} s"):
+        joint_weights(s, ls, tb, power)
 
 
 @pytest.mark.parametrize(
@@ -482,9 +506,9 @@ def test_power_cap_prunes_the_default_lot(kbps, setting, arcs):
     # shared budget, so there is no cap.
     s = harness._with_demand(generate_default(42), kbps, setting)
     ls, tb = _ctx(s)
-    cap = solver.power_cap(s, ls, tb, POWER)
+    cap = solver.power_bounds(s, ls, tb, POWER).power_cap
     counts = [
-        len(solver.formulate(s, ls, tb, POWER, power_cap=c).metadata["r"])
+        len(solver.formulate(s, ls, tb, POWER, Bounds(power_cap=c)).metadata["r"])
         for c in (None, cap)
     ]
     assert (counts[0], None if cap is None else counts[1]) == arcs
@@ -511,9 +535,10 @@ def test_only_the_feasibility_jump_warning_is_silenced():
     # interpreter, as pytest resets warning filters after collection.
     child = (
         "import numpy as np\n"
+        "from scipy.optimize import Bounds\n"
         "from vecop import solver\n"
         "def call(options):\n"
-        "    solver.milp(np.ones(1), bounds=solver.Bounds(0, 1), options=options)\n"
+        "    solver.milp(np.ones(1), bounds=Bounds(0, 1), options=options)\n"
         "call({'mip_heuristic_run_feasibility_jump': False})\n"
         "try:\n"
         "    call({'mip_heuristic_run_feasibility_jump': False, 'mip_heuristic_effort': 0.05})\n"
