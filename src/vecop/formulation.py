@@ -16,6 +16,7 @@ an allocation's constraints; powermodel only prices what passed them.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -214,25 +215,28 @@ class MilpModel:
 _NAME_RE = re.compile(r"[^A-Za-z0-9]")
 
 
+# A model names each node, device and demand id many times over.
+@functools.lru_cache(maxsize=4096)
 def _nm(raw: str) -> str:
     return _NAME_RE.sub("_", raw)
 
 
+def _on_route(linkset: LinkSet, link: Link, source: str, target: str) -> bool:
+    """Whether a simple `source`-`target` path may use `link`: such a path
+    never enters the source or leaves the target, and flow conservation
+    keeps it out of every dead end (a node without outgoing links, such as
+    the cloud) other than the target."""
+    return (
+        link.rx_node != source
+        and link.tx_node != target
+        and (link.rx_node == target or link.rx_node in linkset.senders)
+    )
+
+
 def route_links(linkset: LinkSet, source: str, target: str) -> list[Link]:
     """Links a stream replicated from `source` to `target` may use, in link
-    set order.
-
-    A simple source-target path never enters the source or leaves the
-    target, and flow conservation keeps it out of every dead end (a node
-    without outgoing links, such as the cloud) other than the target.
-    """
-    return [
-        link
-        for link in linkset.links
-        if link.rx_node != source
-        and link.tx_node != target
-        and (link.rx_node == target or linkset.out_links(link.rx_node))
-    ]
+    set order (_on_route)."""
+    return [link for link in linkset.links if _on_route(linkset, link, source, target)]
 
 
 def _pps(demand: DemandSpec, scenario: Scenario) -> float:
@@ -409,8 +413,10 @@ def stream_links(
     streams: dict[tuple[DemandSpec, str], list[Link]] = {}
     for d in scenario.demands:
         pps = _pps(d, scenario)
+        carried = [link for link in linkset.links if _carries(link, tables, pps)]
+        if delay_cap is not None:
+            delay = {link.id: _floor_delay(link, tables, pps) for link in carried}
         if power_cap is not None:
-            carried = [link for link in linkset.links if _carries(link, tables, pps)]
             power = _power_floors(scenario, linkset, d, carried)
             groups, sets = _covering_sets(scenario, d)
             base = {
@@ -421,12 +427,9 @@ def stream_links(
         for n in eligible:
             if n == d.source:
                 continue
-            links = [
-                link for link in route_links(linkset, d.source, n) if _carries(link, tables, pps)
-            ]
+            links = [link for link in carried if _on_route(linkset, link, d.source, n)]
             if delay_cap is not None:
-                weight = {link.id: _floor_delay(link, tables, pps) for link in links}
-                links = _under_cap(links, weight, d.source, n, delay_cap)
+                links = _under_cap(links, delay, d.source, n, delay_cap)
             if power_cap is not None:
                 links = _under_cap(links, power, d.source, n, power_cap, base[n])
             streams[d, n] = links

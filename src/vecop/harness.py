@@ -137,21 +137,22 @@ def _with_demand(scenario: Scenario, demand_kbps: float, setting: ProcessingSett
 
 
 def _solve_cell(
-    scenario: Scenario,
-    demand_kbps: float,
-    setting: ProcessingSetting,
+    variant: Scenario,
+    linkset: linkmodel.LinkSet,
+    tables: dict[str, delaymodel.DelayTable],
     presets: Sequence[ObjectivePreset],
     limits: Limits,
     collect=None,
 ) -> list[SweepRow]:
-    """All requested objective rows of one (demand, setting) cell.
+    """All requested objective rows of one (demand, setting) cell, given as
+    its _with_demand variant and the sweep's shared link graph and tables.
 
     Both presets start from the cell's power-only result, solved once; the
     joint preset takes it through solver.solve_joint.
     """
-    variant = _with_demand(scenario, demand_kbps, setting)
-    linkset = linkmodel.build_links(variant)
-    tables = delaymodel.build_tables(variant, linkset)
+    linkmodel.check_sources(variant, linkset)
+    demand_kbps = variant.demands[0].traffic
+    setting = variant.settings.processing_setting
     power = None
     rows = []
     for preset in presets:
@@ -203,16 +204,20 @@ def sweep(
     for p in presets:
         if p not in DEFAULT_PRESETS:
             raise HarnessError(f"sweep runs the POWER_ONLY and JOINT_EQUAL presets, got {p.value}")
-    cells = [(d, s) for d in demands for s in settings]
-    if threads > 1 and cells:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_solve_cell, scenario, d, s, presets, limits, collect)
-                for d, s in cells
-            ]
-            cell_rows = [f.result() for f in futures]
-    else:
-        cell_rows = [_solve_cell(scenario, d, s, presets, limits, collect) for d, s in cells]
+    variants = [_with_demand(scenario, d, s) for d in demands for s in settings]
+    cell_rows: list[list[SweepRow]] = []
+    if variants:
+        # Neither the link graph nor the delay tables depend on the demand
+        # or the processing setting, so every cell reads one shared pair.
+        linkset = linkmodel.build_links(variants[0])
+        tables = delaymodel.build_tables(variants[0], linkset)
+        shared = (linkset, tables, presets, limits, collect)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(_solve_cell, v, *shared) for v in variants]
+                cell_rows = [f.result() for f in futures]
+        else:
+            cell_rows = [_solve_cell(v, *shared) for v in variants]
     rows = tuple(r for rs in cell_rows for r in rs)
     metadata = {
         **provenance(scenario),

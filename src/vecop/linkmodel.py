@@ -28,6 +28,7 @@ __all__ = [
     "required_tx_dbm",
     "dbm_to_watts",
     "build_links",
+    "check_sources",
 ]
 
 WIRELESS_PROP_SPEED = 3e8  # m/s
@@ -82,6 +83,8 @@ class LinkSet:
         for l in self.links:
             out.setdefault(l.tx_node, []).append(l)
         object.__setattr__(self, "_out", out)
+        # Node ids with at least one outgoing link.
+        object.__setattr__(self, "senders", frozenset(out))
 
     def link(self, link_id: str) -> Link:
         return self._by_id[link_id]
@@ -180,10 +183,20 @@ def build_links(scenario: Scenario) -> LinkSet:
             idx += 1
 
     linkset = LinkSet(tuple(candidates))
+    check_sources(scenario, linkset)
+    return linkset
+
+
+def check_sources(scenario: Scenario, linkset: LinkSet) -> None:
+    """Raise ScenarioError for a demand whose source has no outgoing link
+    and cannot process the demand itself.
+
+    The graph does not depend on the demands or the processing setting, but
+    this check does: run it for every demand and setting a graph serves.
+    """
     eligible = eligible_processors(scenario)
     for d in scenario.demands:
         src = scenario.node(d.source)
         can_self = src.id in eligible and src.processor.capacity >= (d.load or 0.0)
-        if not linkset.out_links(src.id) and not can_self:
+        if src.id not in linkset.senders and not can_self:
             raise ScenarioError(f"demand {d.id}: isolated demand source '{src.id}'")
-    return linkset

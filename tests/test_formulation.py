@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import milp
 
-from vecop import delaymodel, linkmodel, powermodel, solver
+from vecop import delaymodel, formulation, harness, linkmodel, powermodel, solver
 from vecop.formulation import (
     DELAY_UNIT,
     INTEGER,
@@ -34,6 +34,7 @@ from vecop.scenario import (
     ObjectiveWeights,
     ProcessingSetting,
     eligible_processors,
+    generate_default,
     validate,
 )
 from vecop.solver import _all_simple_paths, _to_arrays
@@ -464,6 +465,60 @@ def test_stream_links_drop_links_a_stream_overloads():
     assert not any(l in dsrc for (_d, _n, l) in model.metadata["r"])
 
 
+def _stream_links_per_target(s, ls, tb, delay_cap=None, power_cap=None):
+    """stream_links as one plain pass per (demand, target): route_links,
+    then the _carries filter, then _under_cap under each cap."""
+    f = formulation
+    streams = {}
+    for d in s.demands:
+        pps = f._pps(d, s)
+        groups, sets = f._covering_sets(s, d)
+        for n in sorted(eligible_processors(s) - {d.source}):
+            links = [l for l in route_links(ls, d.source, n) if f._carries(l, tb, pps)]
+            if delay_cap is not None:
+                weight = {l.id: f._floor_delay(l, tb, pps) for l in links}
+                links = f._under_cap(links, weight, d.source, n, delay_cap)
+            if power_cap is not None:
+                carried = [l for l in ls.links if f._carries(l, tb, pps)]
+                (g,) = (g for g, members in enumerate(groups) if n in members)
+                base = min((p for counts, p in sets if counts[g]), default=math.inf)
+                power = f._power_floors(s, ls, d, carried)
+                links = f._under_cap(links, power, d.source, n, power_cap, base)
+            streams[d, n] = links
+    return streams
+
+
+def test_stream_links_equal_a_per_target_reference():
+    # The same links in the same order, uncapped and under the caps that
+    # the solver derives: joint_weights' delay cap and power_bounds' power
+    # cap.
+    capped = pruned = 0
+    for lot in range(42, 46):
+        for setting in ProcessingSetting:
+            s = harness._with_demand(generate_default(lot), 1000.0, setting)
+            ls = linkmodel.build_links(s)
+            tb = delaymodel.build_tables(s, ls)
+            power = solver.solve(s, ls, tb, POWER)
+            _weights, joint = solver.joint_weights(s, ls, tb, power)
+            caps = [
+                {},
+                {"delay_cap": joint.delay_cap},
+                {"power_cap": solver.power_bounds(s, ls, tb, POWER).power_cap},
+            ]
+            uncapped = stream_links(s, ls, tb)
+            for kw in caps:
+                if None in kw.values():
+                    continue
+                capped += bool(kw)
+                streams = stream_links(s, ls, tb, **kw)
+                reference = _stream_links_per_target(s, ls, tb, **kw)
+                assert list(streams) == list(reference), (lot, setting, kw)
+                for key, links in streams.items():
+                    assert links == reference[key], (lot, setting, kw, key[1])
+                    pruned += len(links) < len(uncapped[key])
+    assert capped == 24 and pruned > 0
+
+
 def test_census_matches_closed_form_under_a_cap(
     default_scenario, default_linkset, default_tables
 ):
@@ -698,6 +753,17 @@ def test_power_model_accepts_the_oracle_optimum(oracle_corpus):
     # The corpus has optima that serve at the source alone, where only the
     # y term of C6_exit holds the row, and optima that leave it.
     assert 0 < local < checked
+
+
+def test_formulate_rejects_a_scenario_without_eligible_processors():
+    # validate() rejects such a scenario, so build one past it.
+    s, ls, tb = _ctx([make_vehicle("v1", 0, 0), make_vehicle("v2", 20, 0)])
+    cloudless = dataclasses.replace(
+        s, settings=dataclasses.replace(s.settings, processing_setting=ProcessingSetting.CLOUD_ONLY)
+    )
+    assert not eligible_processors(cloudless)
+    with pytest.raises(FormulationError, match="no eligible processors"):
+        formulate(cloudless, ls, tb, POWER)
 
 
 def test_model_rejects_undeclared_names():

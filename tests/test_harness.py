@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from vecop import solver
+from vecop import delaymodel, linkmodel, solver
 from vecop.harness import (
     CSV_COLUMNS,
     HarnessError,
@@ -14,9 +16,9 @@ from vecop.harness import (
     table_to_csv,
     table_to_plotdata,
 )
-from vecop.scenario import ObjectivePreset, ProcessingSetting
+from vecop.scenario import ObjectivePreset, ProcessingSetting, ScenarioError, validate
 
-from conftest import make_edge, make_vehicle, small_scenario
+from conftest import make_cloud, make_edge, make_vehicle, small_scenario
 
 PO = ObjectivePreset.POWER_ONLY
 JE = ObjectivePreset.JOINT_EQUAL
@@ -78,6 +80,42 @@ def test_sweep_thread_determinism(mini_table):
     )
     threaded = sweep(s, demands=(400.0, 1200.0), settings=(VO, VE), presets=(PO, JE), threads=4)
     assert table_to_csv(threaded) == table_to_csv(mini_table)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_builds_one_link_graph_and_one_set_of_tables(monkeypatch, threads):
+    s = small_scenario(
+        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20), make_edge("e1", 15, 20)],
+        traffic=400.0,
+        bins=8,
+    )
+    calls = []
+    for module, name in ((linkmodel, "build_links"), (delaymodel, "build_tables")):
+
+        def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    table = sweep(s, demands=(400.0, 1200.0), settings=(VO, VE), presets=(PO,), threads=threads)
+    assert len(table.rows) == 4
+    assert sorted(calls) == ["build_links", "build_tables"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_checks_each_cell_for_an_isolated_source(threads):
+    # v1 has no outgoing link. It serves its own demand under VEHICLES_ONLY,
+    # so the graph built from the first cell passes, but no CLOUD_ONLY
+    # allocation can leave v1.
+    base = small_scenario([make_vehicle("v1", 0, 0)], traffic=400.0)
+    far = (
+        make_vehicle("v1", 0, 0), make_vehicle("v2", 9e4, 0), make_edge("e1", 9e4, 10), make_cloud()
+    )
+    s = validate(dataclasses.replace(base, lot_width=1e5, lot_height=1e5, nodes=far))
+    assert "v1" not in linkmodel.build_links(s).senders
+    assert sweep(s, demands=(400.0,), settings=(VO,), presets=(PO,)).rows[0].status == "optimal"
+    with pytest.raises(ScenarioError, match="isolated demand source 'v1'"):
+        sweep(s, demands=(400.0,), settings=(VO, CO), presets=(PO,), threads=threads)
 
 
 def test_sweep_joint_weights_positive(mini_table):

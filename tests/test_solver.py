@@ -630,6 +630,10 @@ def test_brute_force_guards():
     ls, tb = _ctx(s)
     with pytest.raises(InstanceTooLarge):
         brute_force(s, ls, tb, POWER)
+    s = two_demand_scenario()
+    assert len(s.nodes) <= solver.BRUTE_FORCE_MAX_NODES
+    with pytest.raises(SolverError, match="single demand"):
+        solver.oracle_candidates(s, *_ctx(s))
 
 
 def test_brute_force_local():
