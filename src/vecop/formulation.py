@@ -129,6 +129,9 @@ class SolverStats:
     wall_time: float = 0.0
     # HiGHS's relative gap and dual bound (in the weights' units) at its
     # exit; None where HiGHS gave none (proved infeasible, or not run).
+    # A result that solve certifies from its Bounds did not run HiGHS: the
+    # floors closed the gap, so it reports 0 nodes, a gap of 0.0 and the
+    # floors' objective as its dual bound.
     mip_gap: Optional[float] = None
     mip_dual_bound: Optional[float] = None
 
@@ -152,22 +155,30 @@ class Bounds:
     """What is known of an instance's optimum before its model is built.
 
     `delay_cap` (seconds) and `power_cap` (watts) are upper bounds on the
-    optimum's max delay and total power, `delay_floor` (seconds) a max
-    delay that no allocation beats; None where nothing is known.
+    optimum's max delay and total power, `delay_floor` (seconds) and
+    `power_floor` (watts) a max delay and a total power that no allocation
+    beats; None where nothing is known.
     `witness` is an evaluated allocation that meets the caps, the proof
-    that the model built under them is feasible (see solver.solve).
+    that the model built under them is feasible. When it scores no more
+    than the floors do, it is also the proof that it is optimal (see
+    solver.solve).
     """
 
     delay_cap: Optional[float] = None
     delay_floor: Optional[float] = None
     power_cap: Optional[float] = None
+    power_floor: Optional[float] = None
     witness: Optional[SolveResult] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if None not in (self.delay_floor, self.delay_cap) and self.delay_floor > self.delay_cap:
-            raise FormulationError(
-                f"delay floor {self.delay_floor!r} s above the delay cap {self.delay_cap!r} s"
-            )
+        for what, unit, floor, cap in (
+            ("delay", "s", self.delay_floor, self.delay_cap),
+            ("power", "W", self.power_floor, self.power_cap),
+        ):
+            if None not in (floor, cap) and floor > cap:
+                raise FormulationError(
+                    f"{what} floor {floor!r} {unit} above the {what} cap {cap!r} {unit}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +505,8 @@ def formulate(
     it can use (stream_links), which is exact at w_delay = 0 < w_power;
     solver.power_bounds gives one for single-demand power-only models. Like
     a delay cap it may remove links, targets and devices; it bounds no
-    variable.
+    variable. `bounds.power_floor` enters no row: only solver.solve's
+    certificate reads it.
     """
     with_delay = weights.w_delay != 0.0
     eligible = sorted(eligible_processors(scenario))

@@ -31,6 +31,7 @@ from scipy.optimize import Bounds as VariableBounds
 from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
+from . import delaymodel
 from .delaymodel import DelayTable
 from .formulation import (
     CONTINUOUS,
@@ -87,6 +88,12 @@ BRUTE_FORCE_MAX_NODES = 6
 # Relative slack on a delay cap, so that the allocation it was taken from
 # stays feasible despite rounding (see joint_weights()).
 CAP_MARGIN = 1e-6
+# Relative slack below a delay under which _first_hop_floor searches for a
+# faster allocation: its path sums add evaluate()'s terms in another order.
+FLOOR_MARGIN = 1e-9
+# Search steps after which _first_hop_floor gives up, proving nothing. The
+# default sweeps of lots 42-61 take at most 1,768 (about 10 ms).
+FLOOR_WORK_LIMIT = 20_000
 
 # solve() turns HiGHS's feasibility jump off, an option scipy's milp does not
 # know: it passes it through and warns on every call. Only that exact
@@ -207,12 +214,14 @@ def _split_for(
 _redirect_lock = threading.Lock()
 _redirect_users = 0
 _saved_stdout_fd = -1
+# C's fflush, resolved once: a CDLL handle costs about 13 us to build, and
+# every HiGHS call flushes twice.
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
 
 
 def _flush_c_stdio() -> None:
-    fflush = ctypes.CDLL(None).fflush
-    fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
-    fflush(None)
+    _fflush(None)
 
 
 @contextlib.contextmanager
@@ -368,6 +377,12 @@ def solve(
     allocation proves it feasible: the bounds' witness or, without one,
     _nearest_allocation (single demand).
     Any HiGHS exit other than optimal or infeasible raises SolverStopped.
+
+    Before any model is built, a witness that scores no more than the
+    floors, w_power * power_floor + w_delay * delay_floor (a missing floor
+    counts 0), is certified optimal: it is returned, evaluated at
+    `weights`, without running HiGHS, with 0 nodes, a gap of 0.0 and the
+    floors' objective as its dual bound.
     """
     start = time.perf_counter()
     if len(scenario.nodes) > MAX_NODES and not limits.force:
@@ -392,6 +407,22 @@ def solve(
                     f"capacity {total_capacity} MIPS"
                 ),
             )
+    if bounds is not None and bounds.witness is not None:
+        # Every allocation's power and max delay are at least the floors
+        # (at least 0 where none is known), and the weights are not
+        # negative, so no objective is below the floors'. A witness that
+        # scores no more is optimal: the gap is closed before any model.
+        floor = weights.w_power * (bounds.power_floor or 0.0) + weights.w_delay * (
+            bounds.delay_floor or 0.0
+        )
+        witness = bounds.witness
+        # evaluate()'s objective, term for term.
+        if weights.w_power * witness.total_power + weights.w_delay * witness.max_delay <= floor:
+            result = evaluate(scenario, linkset, tables, witness.allocation, weights)
+            stats = SolverStats(
+                wall_time=time.perf_counter() - start, mip_gap=0.0, mip_dual_bound=floor
+            )
+            return replace(result, stats=stats)
 
     model, bounds = capped_model(scenario, linkset, tables, weights, bounds)
     names, c, integrality, var_bounds, constraint = _to_arrays(model)
@@ -512,6 +543,117 @@ def _nearest_allocation(
     return _tree_allocation(scenario, linkset, tables, serving, via, ObjectiveWeights(0.0, 1.0))
 
 
+def _first_hop_floor(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable], t: float
+) -> bool:
+    """Whether no allocation of the single demand has a max delay below
+    t * (1 - FLOOR_MARGIN), by a first-hop congestion bound.
+
+    A route leaves the source once, on its first hop h, and never comes
+    back. So the stream served at n over h is no faster than h's
+    propagation, transmission and queue delay at the rate of all the
+    streams that leave on h, plus the floor distance (_floor_delay) from
+    h's far end into n: every later link carries at least the stream's own
+    rate, and lookup does not decrease with the rate. The bound drops the
+    C5 budgets and all sharing after the first hop.
+
+    Only eligible nodes whose floor distance from the source is below the
+    limit can serve. A depth-first search adds them, nearest first, each
+    with one of its first hops, while the set does not cover the load, and
+    prunes every hop that pushes a stream on it to the limit. Every serving
+    set holds a minimal covering one, whose streams share no more, so a
+    search that covers the load nowhere proves the claim. False for several
+    demands, or when the search passes FLOOR_WORK_LIMIT steps.
+    """
+    if len(scenario.demands) != 1:
+        return False
+    (demand,) = scenario.demands
+    limit = t * (1.0 - FLOOR_MARGIN)
+    pps = _pps(demand, scenario)
+    links = [
+        link for link in linkset.links
+        if link.rx_node != demand.source and _carries(link, tables, pps)
+    ]
+    weight = {link.id: _floor_delay(link, tables, pps) for link in links}
+    dist, _via = _floor_distances(links, weight, demand.source, into=False)
+    members = sorted(
+        (n for n in eligible_processors(scenario) if dist.get(n, np.inf) < limit),
+        key=lambda n: (dist[n], n),
+    )
+    # Each remote member's first hops, with the hop's delay but its queue
+    # plus the floor distance on into the member.
+    hops: dict[str, list[tuple[Link, float]]] = {}
+    for n in members:
+        if n == demand.source:
+            continue
+        into, _via = _floor_distances(links, weight, n, into=True)
+        hops[n] = sorted(
+            (
+                (link, link.prop_delay + link.tx_delay_per_packet + into[link.rx_node])
+                for link in links
+                if link.tx_node == demand.source and link.rx_node in into
+            ),
+            key=lambda option: option[1],
+        )
+    t_bps = demand.traffic * 1000.0
+    queues: dict[tuple[str, int], float] = {}
+
+    def queue(link: Link, streams: int) -> float:
+        """The link's queue delay under `streams` streams, at the rate that
+        evaluate() sums; inf above rho_max * mu (C7)."""
+        key = (link.id, streams)
+        if key not in queues:
+            traffic = 0.0
+            for _ in range(streams):
+                traffic += t_bps
+            rate = delaymodel.packets_per_second(traffic, scenario.settings.packet_size)
+            table = tables[link.id]
+            queues[key] = (
+                np.inf if rate > table.arrival_bounds[-1] * (1.0 + CAPACITY_TOL)
+                else delaymodel.lookup(table, rate)
+            )
+        return queues[key]
+
+    load = demand.load or 0.0
+    capacity = [scenario.node(n).processor.capacity for n in members]
+    work = 0
+
+    def covered(total: float) -> bool:
+        # Looser than greedy_split's test, so that float dust in the sum
+        # loses no covering set.
+        return load <= total * (1.0 + 2.0 * CAPACITY_TOL)
+
+    def faster(start: int, total: float, shared: dict[str, tuple[int, float]]) -> bool:
+        """Whether members[start:] extend the chosen ones, whose first hops
+        carry `shared` (streams, the largest rest of a path), to a set that
+        covers the load with every stream below the limit. True also past
+        FLOOR_WORK_LIMIT steps: nothing is proven then."""
+        nonlocal work
+        work += 1
+        if work > FLOOR_WORK_LIMIT or covered(total):
+            return True
+        if not covered(total + sum(capacity[start:])):
+            return False
+        for j in range(start, len(members)):
+            n = members[j]
+            if n == demand.source:
+                if faster(j + 1, total + capacity[j], shared):
+                    return True
+                continue
+            for link, rest in hops[n]:
+                streams, longest = shared.get(link.id, (0, 0.0))
+                if max(longest, rest) + queue(link, streams + 1) >= limit:
+                    continue
+                shared[link.id] = (streams + 1, max(longest, rest))
+                found = faster(j + 1, total + capacity[j], shared)
+                shared[link.id] = (streams, longest)
+                if found:
+                    return True
+        return False
+
+    return not faster(0, 0.0, {})
+
+
 def _reference_allocation(
     scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable]
 ) -> Optional[SolveResult]:
@@ -581,15 +723,20 @@ def joint_weights(
     Normalizes by P* = power.total_power and by T* from a delay-only solve,
     which runs under the smaller of two feasible allocations' delays, so T*
     is no worse: T_p of the power-only allocation and T_h of
-    _nearest_allocation.
+    _nearest_allocation. That allocation is the pre-solve's witness, and
+    its delay is also the pre-solve's floor when _first_hop_floor proves
+    that no allocation beats it: solve() then certifies it without HiGHS.
     The joint optimum o scores no worse than either reference allocation r,
     w_power P_o + w_delay T_o <= w_power P_r + w_delay T_r, and P_o >= P*, so
     T_o <= T_r + w_power (P_r - P*) / w_delay: T_p for the power-only
     allocation, T* + w_power (P_d - P*) / w_delay for the delay-only one of
     power P_d. Both caps carry a relative CAP_MARGIN, and each solve's
     witness is the allocation its cap was taken from.
-    The floor is T* itself, with no margin: no allocation's max delay is
-    below it. It never exceeds the cap, as T_p >= T* and P_d >= P*.
+    The floors are T* and P* themselves, with no margin: no allocation's
+    max delay or power is below them. The delay floor never exceeds the
+    cap, as T_p >= T* and P_d >= P*. Where the witness has P* and T*, as
+    where the power-only optimum is also the fastest, solve() certifies it
+    without HiGHS.
 
     When T* is zero (local processing) the joint objective degenerates to
     power-only: POWER_WEIGHTS with no bounds, and the joint result is then
@@ -605,9 +752,15 @@ def joint_weights(
     nearest = _nearest_allocation(scenario, linkset, tables)
     if nearest is not None and nearest.max_delay < power.max_delay:
         witness = nearest
+    t_witness = witness.max_delay
+    proven = _first_hop_floor(scenario, linkset, tables, t_witness)
     delay = solve(
         scenario, linkset, tables, ObjectiveWeights(0.0, 1.0), limits,
-        bounds=Bounds(delay_cap=witness.max_delay * (1.0 + CAP_MARGIN), witness=witness),
+        bounds=Bounds(
+            delay_cap=t_witness * (1.0 + CAP_MARGIN),
+            delay_floor=t_witness if proven else None,
+            witness=witness,
+        ),
     )
     t_star = delay.max_delay
     if t_star == 0.0:
@@ -617,7 +770,9 @@ def joint_weights(
     via_delay = t_star + weights.w_power * (delay.total_power - power.total_power) / weights.w_delay
     witness = power if power.max_delay <= via_delay else delay
     cap = min(power.max_delay, via_delay) * (1.0 + CAP_MARGIN)
-    return weights, Bounds(delay_cap=cap, delay_floor=t_star, witness=witness)
+    return weights, Bounds(
+        delay_cap=cap, delay_floor=t_star, power_floor=power.total_power, witness=witness
+    )
 
 
 def solve_joint(

@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single
 "criterion N (...): PASS/FAIL" line on the live terminal.
 """
 
+import collections
 import dataclasses
 import random
 import statistics
@@ -75,17 +76,34 @@ def oracle_results(oracle_corpus):
 
 @pytest.fixture(scope="session")
 def default_sweep():
-    """Single-threaded full default sweep plus every raw solver result."""
+    """Single-threaded full default sweep plus every raw solver result, and
+    every solver.solve call of it: its positional arguments, its bounds, its
+    result and how many times it ran HiGHS."""
     scenario = generate_default(42)
     collected = {}
+    solves, runs = [], []
+    solve, milp = solver.solve, solver.milp
 
     def collect(demand, setting, preset, variant, result):
         collected[(demand, setting, preset)] = (variant, result)
 
-    t0 = time.perf_counter()
-    table = harness.sweep(scenario, threads=1, collect=collect)
-    wall = time.perf_counter() - t0
-    return table, collected, wall
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return milp(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        before = len(runs)
+        result = solve(*args, **kwargs)
+        solves.append((args, kwargs.get("bounds"), result, len(runs) - before))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "milp", counted)
+        patch.setattr(solver, "solve", recorded)
+        t0 = time.perf_counter()
+        table = harness.sweep(scenario, threads=1, collect=collect)
+        wall = time.perf_counter() - t0
+    return table, collected, wall, solves
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +128,7 @@ def test_criterion_1_oracle_equivalence(capsys, oracle_results):
 
 def test_criterion_2_evaluator_independence(capsys, oracle_results, default_sweep):
     results, _ = oracle_results
-    _table, collected, _wall = default_sweep
+    _table, collected, _wall, _solves = default_sweep
     with verdict(capsys, 2, "HiGHS's dual bound matches every optimal objective at 1e-9"):
         # objective_value is evaluate()'s score of the decoded allocation; the
         # dual bound is HiGHS's proof about the model, unscaled by solve().
@@ -179,7 +197,7 @@ def _band(values):
 
 
 def test_criterion_6_trend_families(capsys, default_sweep):
-    table, collected, wall = default_sweep
+    table, collected, wall, _solves = default_sweep
     with verdict(capsys, 6, "four directional trend families on the default sweep"):
         summary = harness.report(table)
         fam = summary["families"]
@@ -235,7 +253,7 @@ def test_criterion_6_trend_families(capsys, default_sweep):
 
 
 def test_criterion_7_power_monotonicity(capsys, default_sweep):
-    table, _collected, _wall = default_sweep
+    table, _collected, _wall, _solves = default_sweep
     with verdict(capsys, 7, "power-only power non-decreasing in demand"):
         for setting in (VO, VE, CO):
             series = [
@@ -261,7 +279,7 @@ def test_criterion_8_lp_round_trip(capsys, default_scenario, default_linkset, de
 
 
 def test_criterion_9_sweep_determinism(capsys, default_sweep):
-    table_serial, _collected, _wall = default_sweep
+    table_serial, _collected, _wall, _solves = default_sweep
     with verdict(capsys, 9, "1-thread and 4-thread sweeps byte-identical"):
         table_threaded = harness.sweep(generate_default(42), threads=4)
         assert table_to_csv(table_threaded) == table_to_csv(table_serial)
@@ -270,8 +288,65 @@ def test_criterion_9_sweep_determinism(capsys, default_sweep):
 def test_default_sweep_matches_golden(default_sweep):
     """Every number of the default sweep, pinned byte for byte: a model
     change that moves any optimum, or its tie-break, shows here."""
-    table, _collected, _wall = default_sweep
+    table, _collected, _wall, _solves = default_sweep
     assert table_to_csv(table).encode() == GOLDEN_SWEEP.read_bytes()
+
+
+def _kind(weights: ObjectiveWeights) -> str:
+    if weights.w_delay == 0.0:
+        return "power"
+    return "delay" if weights.w_power == 0.0 else "joint"
+
+
+def test_floors_certify_the_default_sweep_before_highs(default_sweep):
+    """The first-hop bound certifies 17 of the 18 delay-only pre-solves (not
+    6000 kbps vehicles-only, where T* is below the nearest allocation's
+    delay), and P* with T* certify 8 of the 18 joint solves (vehicles and
+    edge at 1000 and 2000 kbps, and cloud-only, where the power-only optimum
+    is also the fastest). So HiGHS runs 29 times in the sweep's 54 solves."""
+    *_, solves = default_sweep
+    total, certified = collections.Counter(), collections.Counter()
+    for args, _bounds, result, runs in solves:
+        kind = _kind(args[3])
+        total[kind] += 1
+        if runs == 0:
+            certified[kind] += 1
+            stats = result.stats
+            assert (stats.nodes_explored, stats.mip_gap) == (0, 0.0)
+            assert stats.mip_dual_bound == result.objective_value
+    assert total == {"power": 18, "delay": 18, "joint": 18}
+    assert certified == {"delay": 17, "joint": 8}
+    assert sum(runs for *_, runs in solves) == 29
+
+
+def test_certified_results_match_highs_without_the_floors(default_sweep):
+    """Each certified result of the default sweep, against HiGHS's optimum
+    of the same model with the floors taken off the bounds: the same status,
+    max delay and objective, to the last bit, and the same power where the
+    objective weighs it. A delay-only optimum's power is any optimum's:
+    HiGHS serves 1000 kbps vehicles and edge at 19.38 W, the certified
+    nearest allocation at 16.38 W, both at T*."""
+    *_, solves = default_sweep
+    checked = 0
+    for args, bounds, result, runs in solves:
+        if runs:
+            continue
+        weights = args[3]
+        plain = solver.solve(
+            *args[:4], bounds=dataclasses.replace(bounds, delay_floor=None, power_floor=None)
+        )
+        assert plain.stats.mip_dual_bound is not None, "HiGHS ran"
+
+        def numbers(r):
+            shown = [r.max_delay, r.objective_value]
+            if weights.w_power > 0.0:
+                shown.append(r.total_power)
+            return [r.status, *map(repr, shown)]
+
+        cell = (args[0].demands[0].traffic, args[0].settings.processing_setting, weights)
+        assert numbers(plain) == numbers(result), cell
+        checked += 1
+    assert checked == 25
 
 
 # HiGHS's seed is an option scipy's milp does not know: it passes it through

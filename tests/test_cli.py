@@ -206,13 +206,9 @@ def test_solve_joint_matches_sweep_cell(tmp_path):
 
 
 def test_export_joint_writes_the_model_solve_solves(tmp_path, capsys, monkeypatch):
-    # 1000 kbps overloads v1 (800 MIPS): T* > 0, so the joint model is
-    # solved under the pre-solves' delay cap.
-    s = small_scenario(
-        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
-    )
-    p = tmp_path / "split.json"
-    p.write_text(emit_scenario(s))
+    # The default lot, vehicles only: T* > 0, so the joint model is solved
+    # under the pre-solves' delay cap, and its power-only optimum is far
+    # slower than T*, so no floor certifies it before HiGHS runs.
     models = []
     formulate = solver.formulate
 
@@ -221,7 +217,7 @@ def test_export_joint_writes_the_model_solve_solves(tmp_path, capsys, monkeypatc
         return models[-1]
 
     monkeypatch.setattr(solver, "formulate", seen)
-    argv = ["--scenario", str(p), "--objective", "joint"]
+    argv = ["--scenario", GOLDEN, "--setting", "VEHICLES_ONLY", "--objective", "joint"]
     assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
     solved = models[-1]
     assert next(v for v in solved.variables if v.name == "T").upper is not None
@@ -258,8 +254,9 @@ def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch
 
 
 def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monkeypatch):
-    # The default lot (1000 kbps, vehicles and edge): export writes the
-    # joint model that solve hands HiGHS, with T in [T*, cap].
+    # The default lot (1000 kbps, vehicles only): export writes the joint
+    # model that solve hands HiGHS, with T in [T*, cap]. The first-hop
+    # bound certifies the delay-only pre-solve, which builds no model.
     models, bounds = [], []
     formulate, joint_weights = solver.formulate, solver.joint_weights
 
@@ -273,9 +270,9 @@ def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monk
 
     monkeypatch.setattr(solver, "formulate", seen)
     monkeypatch.setattr(solver, "joint_weights", resolved)
-    argv = ["--scenario", GOLDEN, "--objective", "joint"]
+    argv = ["--scenario", GOLDEN, "--setting", "VEHICLES_ONLY", "--objective", "joint"]
     assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
-    _power, _delay, joint = models
+    _power, joint = models
     [(_weights, joint_bounds)] = bounds
     cap, floor = joint_bounds.delay_cap, joint_bounds.delay_floor
     t = next(v for v in joint.variables if v.name == "T")

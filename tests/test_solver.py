@@ -383,6 +383,36 @@ def test_joint_weights_capped_path_matches_oracle(capped_corpus):
         ), f"seed {seed}"
 
 
+def test_first_hop_floor_proves_only_the_oracle_optimum(oracle_corpus):
+    # Whenever the first-hop bound proves that no allocation beats the
+    # nearest allocation's delay T_h, T_h is the oracle's T*. And it never
+    # claims that no allocation beats a delay just above T*. It proves T_h
+    # on all 56 seeds with T* > 0.
+    proven = 0
+    for seed, oracle in enumerate(oracle_corpus):
+        s, ls, tb = oracle.scenario, oracle.linkset, oracle.tables
+        t_star = oracle.best(DELAY).max_delay
+        if t_star == 0.0:
+            continue
+        assert not solver._first_hop_floor(s, ls, tb, t_star * (1.0 + 1e-6)), f"seed {seed}"
+        nearest = solver._nearest_allocation(s, ls, tb)
+        if nearest is not None and solver._first_hop_floor(s, ls, tb, nearest.max_delay):
+            assert nearest.max_delay == t_star, f"seed {seed}"
+            proven += 1
+    assert proven == 56
+
+
+def test_first_hop_floor_proves_nothing_past_its_work_limit(default_scenario, monkeypatch):
+    # Lot 42 at 3000 kbps vehicles-only: T_h is proven within the limit,
+    # and not when the search may take only 10 steps.
+    s = harness._with_demand(default_scenario, 3000.0, ProcessingSetting.VEHICLES_ONLY)
+    ls, tb = _ctx(s)
+    t_h = solver._nearest_allocation(s, ls, tb).max_delay
+    assert solver._first_hop_floor(s, ls, tb, t_h)
+    monkeypatch.setattr(solver, "FLOOR_WORK_LIMIT", 10)
+    assert not solver._first_hop_floor(s, ls, tb, t_h)
+
+
 def test_joint_delay_floor_never_exceeds_the_cap(capped_corpus):
     # The floor T* is the delay-only optimum; the cap is at least T* because
     # T_p >= T* and P_d >= P*. So the floor removes no allocation.
@@ -473,8 +503,13 @@ def test_solve_raises_under_the_witness_of_several_demands(monkeypatch):
     # Two demands have no nearest allocation, so only the witness that
     # joint_weights hands over, the power-only optimum or the delay-only
     # one, turns an "infeasible" from HiGHS into an error, on the pre-solve
-    # and on the joint solve alike.
-    s = two_demand_scenario()
+    # and on the joint solve alike. At 800 kbps d1 fits on v1, and the
+    # power-only optimum is slower than T*: no floor certifies the joint
+    # solve, so HiGHS runs it.
+    base = two_demand_scenario()
+    s = validate(
+        dataclasses.replace(base, demands=(DemandSpec("d1", "v1", 800.0), base.demands[1]))
+    )
     ls, tb = _ctx(s)
     assert solver._nearest_allocation(s, ls, tb) is None
     power = solve(s, ls, tb, POWER)
