@@ -170,6 +170,7 @@ def _result_document(scenario, preset, result) -> str:
             "wall_time_s": result.stats.wall_time,
             "mip_gap": result.stats.mip_gap,
             "mip_dual_bound": result.stats.mip_dual_bound,
+            "certified_by": result.stats.certified_by,
         },
     }
     if result.status == "optimal":

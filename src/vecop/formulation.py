@@ -130,10 +130,12 @@ class SolverStats:
     # HiGHS's relative gap and dual bound (in the weights' units) at its
     # exit; None where HiGHS gave none (proved infeasible, or not run).
     # A result that solve certifies from its Bounds did not run HiGHS: the
-    # floors closed the gap, so it reports 0 nodes, a gap of 0.0 and the
-    # floors' objective as its dual bound.
+    # floors closed the gap, so it reports 0 nodes, a gap of 0.0, the
+    # floors' objective as its dual bound, and certified_by "floors"
+    # (None wherever HiGHS ran or nothing was certified).
     mip_gap: Optional[float] = None
     mip_dual_bound: Optional[float] = None
+    certified_by: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -328,13 +330,22 @@ def _power_floors(
     receivers = {link.rx_device for link in linkset.links}
     floors = {}
     for link in links:
-        idle = [link.rx_device]
-        if link.tx_node == demand.source or link.tx_device not in receivers:
-            idle.append(link.tx_device)
         floors[link.id] = _arc_power(link, t_bps, specs, core) + sum(
-            specs[dev].power_idle for dev in idle if dev in specs
+            specs[dev].power_idle
+            for dev in _idle_devices(link, demand.source, receivers)
+            if dev in specs
         )
     return floors
+
+
+def _idle_devices(link: Link, source: str, receivers: set[str]) -> list[str]:
+    """The devices whose idle power _power_floors charges to `link`: its
+    receiving device, and its transmitting device when the link leaves
+    `source` or that device is in none of `receivers` (the devices that
+    receive on some link)."""
+    if link.tx_node == source or link.tx_device not in receivers:
+        return [link.rx_device, link.tx_device]
+    return [link.rx_device]
 
 
 def _covering_sets(

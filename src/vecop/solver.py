@@ -31,7 +31,7 @@ from scipy.optimize import Bounds as VariableBounds
 from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
-from . import delaymodel
+from . import delaymodel, powermodel
 from .delaymodel import DelayTable
 from .formulation import (
     CONTINUOUS,
@@ -42,10 +42,12 @@ from .formulation import (
     MilpModel,
     SolveResult,
     SolverStats,
+    _arc_power,
     _carries,
     _covering_sets,
     _floor_delay,
     _floor_distances,
+    _idle_devices,
     _power_floors,
     _pps,
     evaluate,
@@ -88,8 +90,9 @@ BRUTE_FORCE_MAX_NODES = 6
 # Relative slack on a delay cap, so that the allocation it was taken from
 # stays feasible despite rounding (see joint_weights()).
 CAP_MARGIN = 1e-6
-# Relative slack below a delay under which _first_hop_floor searches for a
-# faster allocation: its path sums add evaluate()'s terms in another order.
+# Relative slack below a delay (a power) under which _first_hop_floor
+# (_power_floor) looks for a faster (cheaper) allocation: their sums add
+# evaluate()'s terms in another order.
 FLOOR_MARGIN = 1e-9
 # Search steps after which _first_hop_floor gives up, proving nothing. The
 # default sweeps of lots 42-61 take at most 1,768 (about 10 ms).
@@ -353,8 +356,9 @@ def capped_model(
     bounds: Optional[Bounds] = None,
 ) -> tuple[MilpModel, Bounds]:
     """The model solve() hands HiGHS, and the bounds it is formulated
-    under: `bounds`, or power_bounds() when none are given. `vecop export`
-    writes this model."""
+    under: `bounds`, or power_bounds() when none are given, which solve()
+    resolves before its certificate check. `vecop export` writes this
+    model, also where solve() certifies the bounds' witness without it."""
     if bounds is None:
         bounds = power_bounds(scenario, linkset, tables, weights)
     return formulate(scenario, linkset, tables, weights, bounds), bounds
@@ -371,18 +375,19 @@ def solve(
     """Provably optimal allocation, or an infeasibility report naming the
     binding constraint family.
 
-    The model is capped_model()'s: built under `bounds` (joint_weights()
-    gives them for the joint chain), or under power_bounds() when none are
-    given. A model that HiGHS reports infeasible raises SolverError when an
-    allocation proves it feasible: the bounds' witness or, without one,
-    _nearest_allocation (single demand).
-    Any HiGHS exit other than optimal or infeasible raises SolverStopped.
-
-    Before any model is built, a witness that scores no more than the
+    The bounds are `bounds` (joint_weights() gives them for the joint
+    chain) or, when none are given, power_bounds(), resolved once. Before
+    any model is built, their witness, if it scores no more than the
     floors, w_power * power_floor + w_delay * delay_floor (a missing floor
     counts 0), is certified optimal: it is returned, evaluated at
-    `weights`, without running HiGHS, with 0 nodes, a gap of 0.0 and the
-    floors' objective as its dual bound.
+    `weights`, without running HiGHS, with 0 nodes, a gap of 0.0, the
+    floors' objective as its dual bound and certified_by "floors".
+
+    Otherwise HiGHS solves capped_model() under the same bounds. A model
+    that HiGHS reports infeasible raises SolverError when an allocation
+    proves it feasible: the bounds' witness or, without one,
+    _nearest_allocation (single demand).
+    Any HiGHS exit other than optimal or infeasible raises SolverStopped.
     """
     start = time.perf_counter()
     if len(scenario.nodes) > MAX_NODES and not limits.force:
@@ -407,7 +412,9 @@ def solve(
                     f"capacity {total_capacity} MIPS"
                 ),
             )
-    if bounds is not None and bounds.witness is not None:
+    if bounds is None:
+        bounds = power_bounds(scenario, linkset, tables, weights)
+    if bounds.witness is not None:
         # Every allocation's power and max delay are at least the floors
         # (at least 0 where none is known), and the weights are not
         # negative, so no objective is below the floors'. A witness that
@@ -420,7 +427,10 @@ def solve(
         if weights.w_power * witness.total_power + weights.w_delay * witness.max_delay <= floor:
             result = evaluate(scenario, linkset, tables, witness.allocation, weights)
             stats = SolverStats(
-                wall_time=time.perf_counter() - start, mip_gap=0.0, mip_dual_bound=floor
+                wall_time=time.perf_counter() - start,
+                mip_gap=0.0,
+                mip_dual_bound=floor,
+                certified_by="floors",
             )
             return replace(result, stats=stats)
 
@@ -691,22 +701,124 @@ def _reference_allocation(
     return _tree_allocation(scenario, linkset, tables, serving, via, POWER_WEIGHTS)
 
 
+def _power_floor(
+    scenario: Scenario, linkset: LinkSet, tables: dict[str, DelayTable], p: float
+) -> bool:
+    """Whether no allocation of the single demand draws less than
+    p * (1 - FLOOR_MARGIN), by a shared-idle power bound.
+
+    An allocation's power is its processing power, plus each stream's
+    _arc_power on every link of its path (additive per stream), plus the
+    idle power of the union of the interface devices it activates. The
+    bound is the least, over the count vectors of _covering_sets and over
+    whether the source serves, of the set's processing power plus, per
+    group, the sum of the c_g smallest f_k(m) of its remote members, k the
+    number of remote members. f_k(m) is the least, over source-m paths, of
+    the path's _arc_power, the full idle power of its last link's receiving
+    device, and 1/k of the idle power of every other device that
+    _power_floors charges along it. Devices that receive on some link and
+    belong to an eligible node other than the source are left out there.
+    Why it is a floor: the members' last receiving devices are distinct,
+    and no member's is among the others, which are all in the union at
+    least once. So the union's idle power is at least the last devices'
+    plus the largest idle power that one path's other devices draw, and
+    that largest one is at least the mean over the k paths. A member with
+    no share of the load only adds power, so the set of those with one
+    covers the load and bounds it. The bound drops the C5 and C7 budgets,
+    and Dijkstra's least walk, where it is not a path, only lowers it.
+    False for several demands.
+    """
+    if len(scenario.demands) != 1:
+        return False
+    (demand,) = scenario.demands
+    source = demand.source
+    limit = p * (1.0 - FLOOR_MARGIN)
+    pps = _pps(demand, scenario)
+    links = [link for link in linkset.links if _carries(link, tables, pps)]
+    specs = powermodel.device_specs(scenario)
+    core = scenario.settings.core_energy_per_bit
+    t_bps = demand.traffic * 1000.0
+    members = set(eligible_processors(scenario)) - {source}
+    receivers = {link.rx_device for link in linkset.links}
+    # The devices a member's last link may enter.
+    own = {link.rx_device for link in linkset.links if link.rx_node in members}
+
+    def idle(dev: str) -> float:
+        return specs[dev].power_idle if dev in specs else 0.0
+
+    # Per link, its arc power and the idle power it shares among the k
+    # paths; per member, the links that enter it.
+    arc, shared = {}, {}
+    into: dict[str, list[Link]] = {}
+    for link in links:
+        arc[link.id] = _arc_power(link, t_bps, specs, core)
+        shared[link.id] = sum(
+            idle(dev) for dev in _idle_devices(link, source, receivers) if dev not in own
+        )
+        if link.rx_node in members:
+            into.setdefault(link.rx_node, []).append(link)
+    groups, sets = _covering_sets(scenario, demand)
+    home = next((g for g, group in enumerate(groups) if source in group), None)
+    nearest: dict[int, list[list[float]]] = {}
+
+    def least(k: int) -> list[list[float]]:
+        """Each group's f_k of its reachable remote members, ascending."""
+        if k not in nearest:
+            weight = {link.id: arc[link.id] + shared[link.id] / k for link in links}
+            dist, _via = _floor_distances(links, weight, source, into=False)
+            f = {
+                m: min(
+                    (
+                        dist[link.tx_node] + weight[link.id] + idle(link.rx_device)
+                        for link in entering
+                        if link.tx_node in dist
+                    ),
+                    default=np.inf,
+                )
+                for m, entering in into.items()
+            }
+            nearest[k] = [
+                sorted(f[m] for m in group if f.get(m, np.inf) < np.inf) for group in groups
+            ]
+        return nearest[k]
+
+    for counts, power in sets:
+        for local in (False, True):
+            if local and (home is None or counts[home] == 0):
+                continue
+            remote = [c - (local and g == home) for g, c in enumerate(counts)]
+            k = sum(remote)
+            cost = power
+            if k:
+                per_group = least(k)
+                if any(c > len(f) for c, f in zip(remote, per_group)):
+                    continue
+                cost += sum(sum(f[:c]) for c, f in zip(remote, per_group))
+            if cost < limit:
+                return False
+    return True
+
+
 def power_bounds(
     scenario: Scenario,
     linkset: LinkSet,
     tables: dict[str, DelayTable],
     weights: ObjectiveWeights,
 ) -> Bounds:
-    """The bounds solve() formulates a model under when it is given none:
-    when the objective is power-only (w_delay = 0 < w_power), a power cap
-    at the total power of _reference_allocation, its witness; else, as when
-    there is no reference allocation, no bounds."""
+    """The bounds solve() takes when it is given none: when the objective is
+    power-only (w_delay = 0 < w_power), a power cap at the total power of
+    _reference_allocation, its witness, and a power floor at the same power
+    when _power_floor proves that no allocation draws less (solve() then
+    certifies the witness without HiGHS); else, as when there is no
+    reference allocation, no bounds."""
     if weights.w_delay != 0.0 or weights.w_power <= 0.0:
         return Bounds()
     reference = _reference_allocation(scenario, linkset, tables)
     if reference is None:
         return Bounds()
-    return Bounds(power_cap=reference.total_power, witness=reference)
+    power = reference.total_power
+    proven = _power_floor(scenario, linkset, tables, power)
+    return Bounds(power_cap=power, power_floor=power if proven else None, witness=reference)
 
 
 def joint_weights(

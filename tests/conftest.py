@@ -96,6 +96,20 @@ def two_demand_scenario() -> Scenario:
     )
 
 
+def edge_relay_scenario() -> Scenario:
+    """1200 kbps from v1, vehicles and edge, whose power-only solve still
+    reaches HiGHS: the optimum serves e1 over one hop, but the power floor
+    leaves out the idle power of e1's radio on the path v1 -> e1 -> v2 (e1
+    may serve, so the radio may be a member's own), which prices v1 and v2
+    together below the optimum."""
+    return small_scenario(
+        [make_vehicle("v1", 0, 0), make_vehicle("v2", 30, 0), make_edge("e1", 20, 20)],
+        traffic=1200.0,
+        setting=ProcessingSetting.VEHICLES_AND_EDGE,
+        bins=8,
+    )
+
+
 def random_oracle_instance(seed: int) -> Scenario:
     """Small random instance for solver cross-checks: 2-4 vehicles,
     0-1 edge, 0-1 cloud (cloud only alongside an edge), one demand."""

@@ -299,30 +299,36 @@ def _kind(weights: ObjectiveWeights) -> str:
 
 
 def test_floors_certify_the_default_sweep_before_highs(default_sweep):
-    """The first-hop bound certifies 17 of the 18 delay-only pre-solves (not
-    6000 kbps vehicles-only, where T* is below the nearest allocation's
-    delay), and P* with T* certify 8 of the 18 joint solves (vehicles and
-    edge at 1000 and 2000 kbps, and cloud-only, where the power-only optimum
-    is also the fastest). So HiGHS runs 29 times in the sweep's 54 solves."""
+    """The shared-idle power bound certifies 12 of the 18 power-only solves
+    (1000 and 2000 kbps in every setting, 3000 and 4000 kbps vehicles-only,
+    and cloud-only at every demand), the first-hop bound 17 of the 18
+    delay-only pre-solves (not 6000 kbps vehicles-only, where T* is below
+    the nearest allocation's delay), and P* with T* 8 of the 18 joint solves
+    (vehicles and edge at 1000 and 2000 kbps, and cloud-only, where the
+    power-only optimum is also the fastest). So HiGHS runs 17 times in the
+    sweep's 54 solves. A certified result says so in its stats, and no
+    other does."""
     *_, solves = default_sweep
     total, certified = collections.Counter(), collections.Counter()
     for args, _bounds, result, runs in solves:
         kind = _kind(args[3])
         total[kind] += 1
+        stats = result.stats
+        assert stats.certified_by == (None if runs else "floors")
         if runs == 0:
             certified[kind] += 1
-            stats = result.stats
             assert (stats.nodes_explored, stats.mip_gap) == (0, 0.0)
             assert stats.mip_dual_bound == result.objective_value
     assert total == {"power": 18, "delay": 18, "joint": 18}
-    assert certified == {"delay": 17, "joint": 8}
-    assert sum(runs for *_, runs in solves) == 29
+    assert certified == {"power": 12, "delay": 17, "joint": 8}
+    assert sum(runs for *_, runs in solves) == 17
 
 
 def test_certified_results_match_highs_without_the_floors(default_sweep):
     """Each certified result of the default sweep, against HiGHS's optimum
-    of the same model with the floors taken off the bounds: the same status,
-    max delay and objective, to the last bit, and the same power where the
+    of the same model with the floors taken off the bounds (a power-only
+    solve's bounds are the power_bounds it resolves): the same status, max
+    delay and objective, to the last bit, and the same power where the
     objective weighs it. A delay-only optimum's power is any optimum's:
     HiGHS serves 1000 kbps vehicles and edge at 19.38 W, the certified
     nearest allocation at 16.38 W, both at T*."""
@@ -332,6 +338,8 @@ def test_certified_results_match_highs_without_the_floors(default_sweep):
         if runs:
             continue
         weights = args[3]
+        if bounds is None:
+            bounds = solver.power_bounds(*args[:4])
         plain = solver.solve(
             *args[:4], bounds=dataclasses.replace(bounds, delay_floor=None, power_floor=None)
         )
@@ -346,7 +354,7 @@ def test_certified_results_match_highs_without_the_floors(default_sweep):
         cell = (args[0].demands[0].traffic, args[0].settings.processing_setting, weights)
         assert numbers(plain) == numbers(result), cell
         checked += 1
-    assert checked == 25
+    assert checked == 37
 
 
 # HiGHS's seed is an option scipy's milp does not know: it passes it through

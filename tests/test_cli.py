@@ -27,7 +27,7 @@ from vecop.scenario import (
     parse_scenario,
 )
 
-from conftest import make_cloud, make_edge, make_vehicle, small_scenario
+from conftest import edge_relay_scenario, make_cloud, make_edge, make_vehicle, small_scenario
 
 GOLDEN = str(importlib.resources.files("vecop") / "data" / "parking-lot-8v2e.json")
 
@@ -163,9 +163,11 @@ def test_solve_power(tiny_scenario_path, tmp_path):
     assert doc["total_power_w"] == pytest.approx(7.5, abs=1e-9)
     assert doc["allocation"]["d1"]["serving"] == ["v1"]
     assert "scenario_hash" in doc["provenance"]
-    # HiGHS's certificate, its dual bound back in watts.
+    # The floors' certificate (v1 serves alone, at the least processing
+    # power of any covering set): HiGHS did not run.
     assert doc["stats"]["mip_gap"] == 0.0
     assert doc["stats"]["mip_dual_bound"] == pytest.approx(7.5, rel=1e-9)
+    assert doc["stats"]["certified_by"] == "floors"
 
 
 def test_solve_provenance_matches_sweep_header(tiny_scenario_path, tmp_path):
@@ -230,9 +232,12 @@ def test_export_joint_writes_the_model_solve_solves(tmp_path, capsys, monkeypatc
 
 
 def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch):
-    # The default lot (1000 kbps, vehicles and edge): solve formulates its
-    # power-only model under the reference allocation's power cap, and
-    # export writes that model, with far fewer r than the uncapped one.
+    # A cell whose power-only solve reaches HiGHS (conftest's
+    # edge_relay_scenario): solve formulates its power-only model under the
+    # reference allocation's power cap, and export writes that model, with
+    # fewer r than the uncapped one.
+    scenario = tmp_path / "relay.json"
+    scenario.write_text(emit_scenario(edge_relay_scenario()))
     models = []
     formulate = solver.formulate
 
@@ -241,13 +246,14 @@ def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch
         return models[-1]
 
     monkeypatch.setattr(solver, "formulate", seen)
-    argv = ["--scenario", GOLDEN, "--objective", "power"]
+    argv = ["--scenario", str(scenario), "--objective", "power"]
     assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
     (solved,) = models
+    assert json.loads((tmp_path / "result.json").read_text())["stats"]["certified_by"] is None
     lp = tmp_path / "power.lp"
     assert main(["export", *argv, "-o", str(lp)]) == EXIT_OK
     assert lp.read_text() == export_lp(solved)
-    s = cli._load_scenario(GOLDEN, None)
+    s = cli._load_scenario(str(scenario), None)
     ls = linkmodel.build_links(s)
     uncapped = formulate(s, ls, delaymodel.build_tables(s, ls), POWER_WEIGHTS)
     assert len(solved.metadata["r"]) < len(uncapped.metadata["r"])
@@ -255,8 +261,9 @@ def test_export_power_writes_the_capped_model_solve_solves(tmp_path, monkeypatch
 
 def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monkeypatch):
     # The default lot (1000 kbps, vehicles only): export writes the joint
-    # model that solve hands HiGHS, with T in [T*, cap]. The first-hop
-    # bound certifies the delay-only pre-solve, which builds no model.
+    # model that solve hands HiGHS, with T in [T*, cap]. The power floor
+    # certifies the power-only solve and the first-hop bound the delay-only
+    # pre-solve, so neither builds a model.
     models, bounds = [], []
     formulate, joint_weights = solver.formulate, solver.joint_weights
 
@@ -272,7 +279,7 @@ def test_export_joint_writes_the_floored_model_of_the_default_lot(tmp_path, monk
     monkeypatch.setattr(solver, "joint_weights", resolved)
     argv = ["--scenario", GOLDEN, "--setting", "VEHICLES_ONLY", "--objective", "joint"]
     assert main(["solve", *argv, "-o", str(tmp_path / "result.json")]) == EXIT_OK
-    _power, joint = models
+    (joint,) = models
     [(_weights, joint_bounds)] = bounds
     cap, floor = joint_bounds.delay_cap, joint_bounds.delay_floor
     t = next(v for v in joint.variables if v.name == "T")
@@ -487,12 +494,10 @@ def test_solve_limits_exit(tmp_path):
 
 
 def test_solve_exits_with_limits_when_highs_stops(tmp_path, monkeypatch, capsys):
-    # 1000 kbps overloads v1 (800 MIPS), so HiGHS has a model to solve.
-    s = small_scenario(
-        [make_vehicle("v1", 5, 20), make_vehicle("v2", 25, 20)], traffic=1000.0, bins=8
-    )
-    p = tmp_path / "split.json"
-    p.write_text(emit_scenario(s))
+    # No floor certifies edge_relay_scenario's power-only optimum, so HiGHS
+    # has a model to solve.
+    p = tmp_path / "relay.json"
+    p.write_text(emit_scenario(edge_relay_scenario()))
     real = solver.milp
 
     def time_limit(*args, **kwargs):
